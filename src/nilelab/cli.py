@@ -24,19 +24,13 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import selftest, verify
+from .families import DomainError
 
 EXIT_PASS = 0
 EXIT_ERROR = 1
 EXIT_FAIL = 2
 EXIT_INCONCLUSIVE = 3
-
-EXPERIMENT_KINDS = (
-    "ancillarity", "first-order", "independence", "rao", "cond-moment",
-    "fisher-info", "variance-table", "quadrature-selftest", "constraints",
-)
 
 
 class ConfigError(ValueError):
@@ -136,110 +130,139 @@ def format_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-# --------------------------------------------------------------------------
-# Experiment dispatch
-# --------------------------------------------------------------------------
+def _mc_config(cfg: ExperimentConfig, grid, n=None) -> verify.MCConfig:
+    return verify.MCConfig(cfg.seed, cfg.replicates, tuple(grid), n or cfg.n, cfg.workers)
 
-_DEFAULT_STAT = {"nile": "nile_product", "normal_cv": "normal_cv_ratio",
-                 "uniform_location": "uniform_range"}
 
-_TRANSFORMS = {
-    "log": np.log,
-    "identity": verify.identity,
-    "indicator": None,  # 1{w <= calibration median}; built at run time
+def _statistic(field: str, name: str, family: str, n: int) -> str:
+    """Check statistic ``name`` from config field ``field`` against the registry."""
+    try:
+        verify.resolve_statistic(name, family, n)
+    except ValueError as exc:
+        raise ConfigError(f"field {field!r}: {exc}") from None
+    return name
+
+
+def _ancillarity(cfg):
+    family = cfg.family or "nile"
+    # a family with no declared ancillary fails the check on the alias
+    stat = _statistic("statistic", cfg.statistic or verify.ANCILLARY.get(family, "ancillary"),
+                      family, cfg.n)
+    grid = cfg.grid or (0.5, 1.0, 2.0, 4.0)
+    if len(grid) < 2:
+        raise ConfigError("field 'grid': ancillarity needs at least 2 grid points")
+    return verify.verify_ancillarity(family, stat, _mc_config(cfg, grid), c=cfg.c)
+
+
+def _first_order(cfg):
+    family = cfg.family or "bivariate_gaussian_corr"
+    corr = family == "bivariate_gaussian_corr"
+    stat = _statistic("statistic", cfg.statistic or
+                      ("first_order_h" if corr else "positive_indicator"), family, 1)
+    grid = cfg.grid or ((-0.9, 0.0, 0.9) if corr else (0.5, 1.0, 2.0))
+    return verify.verify_first_order(family, stat, _mc_config(cfg, grid, n=1), c=cfg.c)
+
+
+def _independence(cfg):
+    family = cfg.family or "normal_cv"
+    stat_a = _statistic("stat_a", cfg.stat_a or "sample_mean", family, cfg.n)
+    stat_b = _statistic("stat_b", cfg.stat_b or "sample_sd", family, cfg.n)
+    return verify.verify_independence(stat_a, stat_b, family,
+                                      _mc_config(cfg, cfg.grid or (1.0,)), c=cfg.c)
+
+
+def _rao(cfg):
+    family = cfg.family or "nile"
+    if family == "normal_unit":
+        _statistic("n", "diff12", family, cfg.n)
+    else:
+        _statistic("family", "ancillary", family, cfg.n)
+        if cfg.transform not in verify.TRANSFORMS:
+            raise ConfigError(f"field 'transform': unknown transform {cfg.transform!r}")
+    estimator = _statistic("estimator", cfg.estimator or "nile_mle", family, cfg.n)
+    if family == "normal_unit":
+        u = verify.ZeroMeanSpec(id="first-contrast", source="diff12",
+                                transform=verify.identity, center=0.0, center_se=0.0)
+    else:
+        transform = verify.TRANSFORMS[cfg.transform](family, cfg.n, cfg.c, cfg.seed + 2)
+        u = verify.zero_mean_from_ancillary(
+            f"{cfg.transform}-of-ancillary", "ancillary", transform, family,
+            n=cfg.n, seed=cfg.seed + 1, c=cfg.c)
+    grid = cfg.grid or (0.5, 1.0, 2.0)
+    return verify.rao_zero_cov(estimator, u, family, _mc_config(cfg, grid), power=cfg.power,
+                               c=cfg.c)
+
+
+def _cond_moment(cfg):
+    family = cfg.family or "nile"
+    estimator = _statistic("estimator", cfg.estimator or "nile_star", family, cfg.n)
+    w_stat = _statistic("statistic", cfg.statistic or
+                        ("diff12" if family == "normal_unit" else "ancillary"), family, cfg.n)
+    # the quadrature prediction is for the unbiased estimator given W itself
+    overlay = estimator == "nile_star" and w_stat in ("ancillary", "nile_product")
+    return verify.cond_moment_dependence(
+        estimator, family, cfg.theta, _mc_config(cfg, (cfg.theta,)),
+        w_stat=w_stat, c=cfg.c, overlay=overlay)
+
+
+def _variance_table(cfg):
+    family = cfg.family or "nile"
+    estimators = [_statistic("estimators", name, family, cfg.n)
+                  for name in cfg.estimators or ("nile_mle", "nile_star")]
+    return verify.variance_table(estimators, family, _mc_config(cfg, cfg.grid or (1.0,)), c=cfg.c)
+
+
+#: kind -> (claim, default config as ``nilelab list`` shows it, runner)
+EXPERIMENTS = {
+    "ancillarity": (
+        "sampling distribution of the designated ancillary statistic "
+        "is invariant across the parameter grid (pairwise KS test)",
+        "family = nile, grid = 0.5,1,2,4, n = 5, replicates = 200000", _ancillarity),
+    "first-order": (
+        "mean of a first-order ancillary statistic is constant in the "
+        "parameter (vs its closed-form normal-CDF value)",
+        "family = bivariate_gaussian_corr, grid = -0.9,0,0.9, replicates = 100000",
+        _first_order),
+    "independence": (
+        "two statistics are independent at each grid point "
+        "(chi-square on a decile contingency table)",
+        "family = normal_cv, stat_a = sample_mean, stat_b = sample_sd, n = 10", _independence),
+    "rao": (
+        "a UMVUE must have zero covariance with every zero-mean statistic; "
+        "estimates E(g^k U) for U built from the ancillary",
+        "family = nile, estimator = nile_mle, transform = log, grid = 0.5,1,2, n = 1", _rao),
+    "cond-moment": (
+        "a UMVUE's conditional second moment given the ancillary must "
+        "be constant; bins the ancillary and compares bin means",
+        "family = nile, estimator = nile_star, theta = 1, n = 1", _cond_moment),
+    "fisher-info": (
+        "variance of the score equals (2 + 1/c^2)/theta^2, exceeding "
+        "the location-only information 1/(c^2 theta^2)",
+        "theta = 1, c = 1, replicates = 1000000",
+        lambda cfg: verify.fisher_info(cfg.theta, cfg.c, _mc_config(cfg, (cfg.theta,)))),
+    "variance-table": (
+        "Monte Carlo bias/variance/MSE comparison across estimators",
+        "family = nile, estimators = nile_mle,nile_star, grid = 1, n = 5", _variance_table),
+    "quadrature-selftest": (
+        "the adaptive-quadrature and Bessel-representation evaluations of the "
+        "conditional-moment integrals agree to 1e-8",
+        "no configuration", lambda cfg: selftest.quadrature_selftest()),
+    "constraints": (
+        "natural-parameter constraint polynomials vanish along each "
+        "family's parameter curve (|residual| < 1e-12)",
+        "no configuration", lambda cfg: selftest.constraint_selftest()),
 }
 
-
-def _mc_config(cfg: ExperimentConfig, grid) -> verify.MCConfig:
-    return verify.MCConfig(master_seed=cfg.seed, replicates=cfg.replicates,
-                           theta_grid=tuple(grid), n=cfg.n, workers=cfg.workers)
+EXPERIMENT_KINDS = tuple(EXPERIMENTS)
 
 
-def _run_experiment(cfg: ExperimentConfig) -> verify.VerificationReport:
-    kind = cfg.kind
-    if kind == "quadrature-selftest":
-        return selftest.quadrature_selftest()
-    if kind == "constraints":
-        return selftest.constraint_selftest()
-    if kind == "ancillarity":
-        family = cfg.family or "nile"
-        stat = cfg.statistic or _DEFAULT_STAT.get(family)
-        if stat is None:
-            raise ConfigError(f"field 'statistic': required for family {family!r}")
-        grid = cfg.grid or (0.5, 1.0, 2.0, 4.0)
-        return verify.verify_ancillarity(family, stat, _mc_config(cfg, grid), c=cfg.c)
-    if kind == "first-order":
-        family = cfg.family or "bivariate_gaussian_corr"
-        stat = cfg.statistic or ("first_order_h" if family == "bivariate_gaussian_corr"
-                                 else "positive_indicator")
-        grid = cfg.grid or ((-0.9, 0.0, 0.9) if family == "bivariate_gaussian_corr"
-                            else (0.5, 1.0, 2.0))
-        mc = verify.MCConfig(master_seed=cfg.seed, replicates=cfg.replicates,
-                             theta_grid=tuple(grid), n=1, workers=cfg.workers)
-        return verify.verify_first_order(family, stat, mc, c=cfg.c)
-    if kind == "independence":
-        family = cfg.family or "normal_cv"
-        stat_a = cfg.stat_a or "sample_mean"
-        stat_b = cfg.stat_b or "sample_sd"
-        grid = cfg.grid or (1.0,)
-        return verify.verify_independence(stat_a, stat_b, family,
-                                          _mc_config(cfg, grid), c=cfg.c)
-    if kind == "rao":
-        family = cfg.family or "nile"
-        estimator = cfg.estimator or "nile_mle"
-        grid = cfg.grid or (0.5, 1.0, 2.0)
-        if family == "normal_unit":
-            u = verify.ZeroMeanSpec(id="first-contrast", source="diff12",
-                                    transform=verify.identity,
-                                    center=0.0, center_se=0.0)
-        else:
-            source = _DEFAULT_STAT[family]
-            if cfg.transform not in _TRANSFORMS:
-                raise ConfigError(f"field 'transform': unknown transform {cfg.transform!r}")
-            transform = _TRANSFORMS[cfg.transform]
-            if transform is None:
-                transform = _make_indicator(family, cfg)
-            u = verify.zero_mean_from_ancillary(
-                f"{cfg.transform}-of-ancillary", source, transform, family,
-                n=cfg.n, seed=cfg.seed + 1, c=cfg.c)
-        return verify.rao_zero_cov(estimator, u, family, _mc_config(cfg, grid),
-                                   power=cfg.power, c=cfg.c)
-    if kind == "cond-moment":
-        family = cfg.family or "nile"
-        estimator = cfg.estimator or "nile_star"
-        overlay = family == "nile" and estimator == "nile_star"
-        w_stat = cfg.statistic or ("diff12" if family == "normal_unit" else "ancillary")
-        return verify.cond_moment_dependence(
-            estimator, family, cfg.theta, _mc_config(cfg, (cfg.theta,)),
-            w_stat=w_stat, c=cfg.c, overlay=overlay)
-    if kind == "fisher-info":
-        return verify.fisher_info(cfg.theta, cfg.c, _mc_config(cfg, (cfg.theta,)))
-    if kind == "variance-table":
-        family = cfg.family or "nile"
-        estimators = cfg.estimators or ("nile_mle", "nile_star")
-        grid = cfg.grid or (1.0,)
-        return verify.variance_table(list(estimators), family,
-                                     _mc_config(cfg, grid), c=cfg.c)
-    raise ConfigError(f"unknown experiment kind {kind!r}")
+def run_experiment(cfg: ExperimentConfig) -> verify.VerificationReport:
+    """Run a validated config (ConfigError if it is bad, VerificationError if untestable)."""
+    try:
+        return EXPERIMENTS[cfg.kind][2](cfg)
+    except DomainError as exc:  # a grid point or theta outside the family's domain
+        raise ConfigError(str(exc)) from None
 
-
-def _make_indicator(family: str, cfg: ExperimentConfig):
-    """1{w <= median} with the median frozen from a calibration run at theta=1."""
-    mc = verify.MCConfig(master_seed=cfg.seed + 2, replicates=100_000,
-                         theta_grid=(1.0,), n=cfg.n, workers=1)
-    per_point, _ = verify.run_grid(family, (1.0,), cfg.n, cfg.c, mc,
-                                   [_DEFAULT_STAT[family]])
-    median = float(np.median(per_point[0][_DEFAULT_STAT[family]]))
-
-    def indicator(w):
-        return (np.asarray(w) <= median).astype(float)
-
-    return indicator
-
-
-# --------------------------------------------------------------------------
-# Report output
-# --------------------------------------------------------------------------
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -273,54 +296,14 @@ def _exit_code(report: verify.VerificationReport) -> int:
             "inconclusive": EXIT_INCONCLUSIVE}[report.verdict]
 
 
-# --------------------------------------------------------------------------
-# Catalog
-# --------------------------------------------------------------------------
-
-_CATALOG = {
-    "ancillarity": ("sampling distribution of the designated ancillary statistic "
-                    "is invariant across the parameter grid (pairwise KS test)",
-                    "family = nile, grid = 0.5,1,2,4, n = 5, replicates = 200000"),
-    "first-order": ("mean of a first-order ancillary statistic is constant in the "
-                    "parameter (vs its closed-form normal-CDF value)",
-                    "family = bivariate_gaussian_corr, grid = -0.9,0,0.9, replicates = 100000"),
-    "independence": ("two statistics are independent at each grid point "
-                     "(chi-square on a decile contingency table)",
-                     "family = normal_cv, stat_a = sample_mean, stat_b = sample_sd, n = 10"),
-    "rao": ("a UMVUE must have zero covariance with every zero-mean statistic; "
-            "estimates E(g^k U) for U built from the ancillary",
-            "family = nile, estimator = nile_mle, transform = log, grid = 0.5,1,2, n = 1"),
-    "cond-moment": ("a UMVUE's conditional second moment given the ancillary must "
-                    "be constant; bins the ancillary and compares bin means",
-                    "family = nile, estimator = nile_star, theta = 1, n = 1"),
-    "fisher-info": ("variance of the score equals (2 + 1/c^2)/theta^2, exceeding "
-                    "the location-only information 1/(c^2 theta^2)",
-                    "theta = 1, c = 1, replicates = 1000000"),
-    "variance-table": ("Monte Carlo bias/variance/MSE comparison across estimators",
-                       "family = nile, estimators = nile_mle,nile_star, grid = 1, n = 5"),
-    "quadrature-selftest": ("the adaptive-quadrature and Bessel-representation "
-                            "evaluations of the conditional-moment integrals agree "
-                            "to 1e-8",
-                            "no configuration"),
-    "constraints": ("natural-parameter constraint polynomials vanish along each "
-                    "family's parameter curve (|residual| < 1e-12)",
-                    "no configuration"),
-}
-
-
 def list_experiments() -> str:
     lines = ["Available experiment kinds:", ""]
-    for kind in EXPERIMENT_KINDS:
-        claim, default = _CATALOG[kind]
+    for kind, (claim, default, _) in EXPERIMENTS.items():
         lines.append(f"{kind}")
         lines.append(f"    claim:   {claim}")
         lines.append(f"    default: {default}")
     return "\n".join(lines) + "\n"
 
-
-# --------------------------------------------------------------------------
-# Entry points
-# --------------------------------------------------------------------------
 
 def cmd_run(args) -> int:
     written = []
@@ -340,7 +323,7 @@ def cmd_run(args) -> int:
             cfg.workers = args.workers
         cfg.validate()
         name = cfg.name or path.stem
-        report = _run_experiment(cfg)
+        report = run_experiment(cfg)
         written = write_report(report, Path(cfg.out), name)
         for sub, verdict in report.verdicts.items():
             print(f"{name}: {sub}: {verdict}")

@@ -129,27 +129,33 @@ def density(model: FamilyModel, point) -> float:
 
 def sample(model: FamilyModel, n: int, rng: np.random.Generator,
            seed_trace: str = "") -> ObservationSet:
-    """Draw n i.i.d. observations using exact (inverse-CDF / linear-mix) samplers."""
+    """Draw n i.i.d. observations with the family's exact sampler in ``SAMPLERS``."""
     if n < 1:
         raise InputError(f"sample size must be >= 1, got {n}")
-    pts = sample_points(model, n, rng)
+    param = model.rho if model.kind is Kind.BIVARIATE_GAUSSIAN_CORR else model.theta
+    draws = SAMPLERS[model.kind.value](param, model.c, rng, n)
+    pts = np.column_stack(draws) if model.kind in PAIR_KINDS else draws
     return ObservationSet(points=pts, model=model, seed_trace=seed_trace)
 
 
-def sample_points(model: FamilyModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Raw draws without the ObservationSet wrapper (used by vectorized MC loops)."""
-    if model.kind is Kind.NILE:
-        x = rng.exponential(scale=1.0 / model.theta, size=n)
-        y = rng.exponential(scale=model.theta, size=n)
-        return np.column_stack([x, y])
-    if model.kind is Kind.BIVARIATE_GAUSSIAN_CORR:
-        z1 = rng.standard_normal(n)
-        z2 = rng.standard_normal(n)
-        rho = model.rho
-        return np.column_stack([z1, rho * z1 + math.sqrt(1.0 - rho * rho) * z2])
-    if model.kind is Kind.NORMAL_CV:
-        return model.theta + model.c * model.theta * rng.standard_normal(n)
-    return rng.uniform(model.theta - 1.0, model.theta + 1.0, size=n)
+def _draw_bivariate_gaussian(rho, c, rng, size):
+    z1 = rng.standard_normal(size)
+    return z1, rho * z1 + math.sqrt(1.0 - rho * rho) * rng.standard_normal(size)
+
+
+#: One vectorized exact sampler per family, keyed by engine token, used by both
+#: ``sample`` and the Monte Carlo engine: ``draw(theta, c, rng, size)`` returns
+#: i.i.d. observations of shape ``size`` (an ``(x, y)`` pair of arrays for pair
+#: families; theta is rho for the correlation family).  "normal_unit" is the
+#: N(theta, 1) positive-control fixture of the engine.
+SAMPLERS = {
+    "nile": lambda theta, c, rng, size: (rng.exponential(1.0 / theta, size),
+                                         rng.exponential(theta, size)),
+    "bivariate_gaussian_corr": _draw_bivariate_gaussian,
+    "normal_cv": lambda theta, c, rng, size: theta + c * theta * rng.standard_normal(size),
+    "uniform_location": lambda theta, c, rng, size: rng.uniform(theta - 1.0, theta + 1.0, size),
+    "normal_unit": lambda theta, c, rng, size: theta + rng.standard_normal(size),
+}
 
 
 def nile(theta: float) -> FamilyModel:

@@ -16,6 +16,7 @@ order.  Reports are therefore bit-identical across worker counts.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -23,10 +24,10 @@ import numpy as np
 from scipy.special import ndtr  # standard normal CDF
 from scipy.stats import chi2_contingency, ks_2samp
 
+from . import __version__ as VERSION
 from .estimators import h_star_vector, khan_coefficients, normalcv_mle_from_sums
+from .families import SAMPLERS, FamilyModel, Kind
 from .quadrature import cond_second_moment_ratio
-
-VERSION = "0.1.0"
 
 #: Fixed replicate partition; must not depend on the worker count.
 N_CHUNKS = 64
@@ -34,12 +35,6 @@ N_CHUNKS = 64
 #: Asymptotic two-sample KS critical multiplier at roughly the 0.001 level;
 #: with equal sample sizes the threshold is KS_CRITICAL * sqrt(2/N).
 KS_CRITICAL = 1.95
-
-#: Family tokens accepted by the engine.  "normal_unit" is the N(theta, 1)
-#: positive-control fixture: complete sufficient statistic, so every
-#: UMVUE-condition check must come out clean on it.
-FAMILY_TOKENS = ("nile", "bivariate_gaussian_corr", "normal_cv",
-                 "uniform_location", "normal_unit")
 
 
 class VerificationError(RuntimeError):
@@ -125,88 +120,116 @@ class VerificationReport:
         return header, rows
 
 
-# --------------------------------------------------------------------------
-# Simulation core
-# --------------------------------------------------------------------------
+def _reduce_scalar(x, n):
+    out = {"xbar": x.mean(axis=1), "x1": x[:, 0]}
+    if n >= 2:
+        out["diff12"] = x[:, 0] - x[:, 1]
+    return out
+
+
+def _reduce_normal_cv(x, n):
+    out = {**_reduce_scalar(x, n), "sum_x": x.sum(axis=1), "sum_x2": np.sum(x * x, axis=1)}
+    if n >= 2:
+        out["s"] = x.std(axis=1, ddof=1)
+        out["degenerate"] = out["s"] == 0
+    return out
+
+
+#: Engine families: token -> reduce(draws, n), from the draws of
+#: ``families.SAMPLERS[token]`` (replicates x observations) to per-replicate arrays,
+#: with a ``degenerate`` mask of replicates to drop.  "normal_unit" is the
+#: N(theta, 1) positive-control fixture: complete sufficient statistic, so every
+#: UMVUE-condition check must come out clean on it.
+FAMILIES = {
+    "nile": lambda d, n: {"xbar": d[0].mean(axis=1), "ybar": d[1].mean(axis=1)},
+    "bivariate_gaussian_corr": lambda d, n: {"x": d[0][:, 0], "y": d[1][:, 0]},
+    "normal_cv": _reduce_normal_cv,
+    "uniform_location": lambda x, n: {**_reduce_scalar(x, n), "lo": x.min(axis=1),
+                                      "hi": x.max(axis=1)},
+    "normal_unit": _reduce_scalar,
+}
+FAMILY_TOKENS = tuple(FAMILIES)
+
+#: Each family's declared ancillary: the statistic the alias "ancillary" names.
+ANCILLARY = {"nile": "nile_product", "normal_cv": "normal_cv_ratio",
+             "uniform_location": "uniform_range"}
+
+#: A named statistic: ``compute(sim, theta, n, c)`` over the reduced arrays of
+#: one of ``families``, defined for n >= ``min_n``; ``target`` maps c to a known
+#: parameter-free mean, which the first-order check compares against.
+Statistic = namedtuple("Statistic", "compute families min_n target", defaults=(1, None))
+
+
+def _normal_cv_ratio(sim, theta, n, c):
+    xbar, s = sim["xbar"], sim["s"]
+    with np.errstate(divide="ignore"):
+        return np.where(s > 0, xbar / np.where(s > 0, s, 1.0), np.inf)
+
+
+def _khan_linear(sim, theta, n, c):
+    a, b = khan_coefficients(n, c)
+    return a * sim["xbar"] + b * sim["s"]
+
+
+def _score(sim, theta, n, c):
+    """Score of the first observation of N(theta, (c theta)^2)."""
+    d = sim["x1"] - theta
+    return -1.0 / theta + d / (c * c * theta * theta) + d * d / (c * c * theta ** 3)
+
+
+_NILE, _CV, _UNIFORM = {"nile"}, {"normal_cv"}, {"uniform_location"}
+_CORR = {"bivariate_gaussian_corr"}
+_SCALAR = {"normal_cv", "uniform_location", "normal_unit"}
+
+STATISTICS = {
+    "nile_product": Statistic(lambda sim, t, n, c: sim["xbar"] * sim["ybar"], _NILE),
+    "normal_cv_ratio": Statistic(_normal_cv_ratio, _CV, min_n=2),
+    "uniform_range": Statistic(lambda sim, t, n, c: sim["hi"] - sim["lo"], _UNIFORM),
+    "sample_mean": Statistic(lambda sim, t, n, c: sim["xbar"], _SCALAR | _NILE),
+    "sample_sd": Statistic(lambda sim, t, n, c: sim["s"], _CV, min_n=2),
+    "nile_mle": Statistic(lambda sim, t, n, c: np.sqrt(sim["ybar"] / sim["xbar"]), _NILE),
+    "nile_star": Statistic(
+        lambda sim, t, n, c: sim["ybar"] * h_star_vector(sim["xbar"] * sim["ybar"], n), _NILE),
+    "nile_inverse_xbar": Statistic(lambda sim, t, n, c: 1.0 / sim["xbar"], _NILE),
+    "khan_linear": Statistic(_khan_linear, _CV, min_n=2),
+    "normalcv_mle": Statistic(
+        lambda sim, t, n, c: normalcv_mle_from_sums(sim["sum_x"], sim["sum_x2"], n, c), _CV),
+    "pitman_midrange": Statistic(lambda sim, t, n, c: 0.5 * (sim["lo"] + sim["hi"]), _UNIFORM),
+    "first_order_h": Statistic(
+        lambda sim, t, n, c: ((np.abs(sim["x"]) <= 1.0).astype(float)
+                              + (np.abs(sim["y"]) <= 1.0).astype(float)),
+        _CORR, target=lambda c: 2.0 * (2.0 * float(ndtr(1.0)) - 1.0)),
+    "positive_indicator": Statistic(lambda sim, t, n, c: (sim["xbar"] > 0).astype(float),
+                                    _SCALAR | _NILE, target=lambda c: float(ndtr(1.0 / c))),
+    "xy_product": Statistic(lambda sim, t, n, c: sim["x"] * sim["y"], _CORR),
+    "diff12": Statistic(lambda sim, t, n, c: sim["diff12"], _SCALAR, min_n=2),
+    "score": Statistic(_score, _CV),
+}
+
+
+def resolve_statistic(name: str, token: str, n: int) -> Statistic:
+    """The statistic ``name`` (``ancillary``: the family's declared one) on family
+    ``token`` at sample size ``n``; ValueError unless it is defined there."""
+    if name == "ancillary":
+        if token not in ANCILLARY:
+            raise ValueError(f"family {token!r} declares no ancillary")
+        name = ANCILLARY[token]
+    stat = STATISTICS.get(name)
+    if stat is None:
+        raise ValueError(f"unknown statistic {name!r}")
+    if token not in stat.families:
+        raise ValueError(f"statistic {name!r} is not defined for family {token!r}")
+    if n < stat.min_n:
+        raise ValueError(f"statistic {name!r} needs n >= {stat.min_n}, got n = {n}")
+    return stat
+
 
 def _simulate(token: str, param: float, n: int, c: float,
               rng: np.random.Generator, count: int) -> dict:
-    """Vectorized draws of per-replicate summary quantities.
-
-    Returns a dict of length-``count`` arrays; keys depend on the family.
-    """
-    if token == "nile":
-        x = rng.exponential(scale=1.0 / param, size=(count, n))
-        y = rng.exponential(scale=param, size=(count, n))
-        xbar = x.mean(axis=1)
-        ybar = y.mean(axis=1)
-        return {"xbar": xbar, "ybar": ybar, "w": xbar * ybar}
-    if token == "normal_cv":
-        x = param + c * param * rng.standard_normal((count, n))
-        xbar = x.mean(axis=1)
-        out = {"xbar": xbar, "sum_x": x.sum(axis=1),
-               "sum_x2": np.sum(x * x, axis=1)}
-        if n >= 2:
-            s = x.std(axis=1, ddof=1)
-            out["s"] = s
-            out["diff12"] = x[:, 0] - x[:, 1]
-            with np.errstate(divide="ignore"):
-                out["w"] = np.where(s > 0, xbar / np.where(s > 0, s, 1.0), np.inf)
-            out["degenerate"] = s == 0
-        return out
-    if token == "uniform_location":
-        x = rng.uniform(param - 1.0, param + 1.0, size=(count, n))
-        lo = x.min(axis=1)
-        hi = x.max(axis=1)
-        out = {"lo": lo, "hi": hi, "w": hi - lo, "xbar": x.mean(axis=1)}
-        if n >= 2:
-            out["diff12"] = x[:, 0] - x[:, 1]
-        return out
-    if token == "bivariate_gaussian_corr":
-        z1 = rng.standard_normal(count)
-        z2 = rng.standard_normal(count)
-        y = param * z1 + math.sqrt(1.0 - param * param) * z2
-        return {"x": z1, "y": y, "xy": z1 * y,
-                "h": (np.abs(z1) <= 1.0).astype(float) + (np.abs(y) <= 1.0).astype(float)}
-    if token == "normal_unit":
-        x = param + rng.standard_normal((count, n))
-        out = {"xbar": x.mean(axis=1)}
-        if n >= 2:
-            out["diff12"] = x[:, 0] - x[:, 1]
-        return out
-    raise ValueError(f"unknown family token {token!r}")
-
-
-#: statistic / estimator evaluators over a simulation dict.
-def _eval_stat(name: str, sim: dict, n: int, c: float) -> np.ndarray:
-    if name in ("nile_product", "normal_cv_ratio", "uniform_range", "ancillary"):
-        return sim["w"]
-    if name == "sample_mean":
-        return sim["xbar"]
-    if name == "sample_sd":
-        return sim["s"]
-    if name == "nile_mle":
-        return np.sqrt(sim["ybar"] / sim["xbar"])
-    if name == "nile_star":
-        return sim["ybar"] * h_star_vector(sim["w"], n)
-    if name == "nile_inverse_xbar":
-        return 1.0 / sim["xbar"]
-    if name == "khan_linear":
-        a, b = khan_coefficients(n, c)
-        return a * sim["xbar"] + b * sim["s"]
-    if name == "normalcv_mle":
-        return normalcv_mle_from_sums(sim["sum_x"], sim["sum_x2"], n, c)
-    if name == "pitman_midrange":
-        return 0.5 * (sim["lo"] + sim["hi"])
-    if name == "first_order_h":
-        return sim["h"]
-    if name == "positive_indicator":
-        return (sim["xbar"] > 0).astype(float)
-    if name == "xy_product":
-        return sim["xy"]
-    if name == "diff12":
-        return sim["diff12"]
-    raise ValueError(f"unknown statistic {name!r}")
+    """Draw ``count`` replicates and reduce them to per-replicate arrays."""
+    # the correlation family's statistics are single-pair ones
+    per_replicate = 1 if token == "bivariate_gaussian_corr" else n
+    return FAMILIES[token](SAMPLERS[token](param, c, rng, (count, per_replicate)), n)
 
 
 def _chunk_sizes(total: int, chunks: int) -> list[int]:
@@ -220,25 +243,27 @@ def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names) -> tup
 
     Returns (per-grid-point dict of name -> array, degenerate count).
     Replicates with a degenerate sample (s = 0) are dropped from every
-    statistic and counted.
+    statistic and counted.  Statistics (ValueError) and grid points
+    (DomainError) are checked before sampling.
     """
     grid = list(grid)
+    stats = {name: resolve_statistic(name, token, n) for name in names}
+    if token != "normal_unit":  # the fixture has no FamilyModel and takes any theta
+        for theta in grid:  # each kind checks whichever of theta / rho it uses
+            FamilyModel(kind=Kind(token), theta=theta, rho=theta, c=c)
     sizes = _chunk_sizes(config.replicates, N_CHUNKS)
     children = np.random.SeedSequence(config.master_seed).spawn(len(grid) * len(sizes))
     degenerate = 0
-    want_degenerate = token == "normal_cv" and n >= 2
 
     def one_chunk(gi_ci):
         gi, ci = gi_ci
         rng = np.random.default_rng(children[gi * len(sizes) + ci])
         sim = _simulate(token, grid[gi], n, c, rng, sizes[ci])
-        keep = None
-        if want_degenerate and "degenerate" in sim:
-            bad = sim["degenerate"]
-            keep = ~bad if bad.any() else None
+        bad = sim.get("degenerate")
+        keep = ~bad if bad is not None and bad.any() else None
         vals = {}
-        for name in names:
-            arr = _eval_stat(name, sim, n, c)
+        for name, stat in stats.items():
+            arr = stat.compute(sim, grid[gi], n, c)
             vals[name] = arr if keep is None else arr[keep]
         nbad = 0 if keep is None else int((~keep).sum())
         return vals, nbad
@@ -254,7 +279,7 @@ def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names) -> tup
     for gi in range(len(grid)):
         vals = {name: np.concatenate(
             [chunk_results[gi * len(sizes) + ci][0][name] for ci in range(len(sizes))])
-            for name in names}
+            for name in stats}
         degenerate += sum(chunk_results[gi * len(sizes) + ci][1] for ci in range(len(sizes)))
         out.append(vals)
     return out, degenerate
@@ -266,9 +291,20 @@ def _mean_se(arr: np.ndarray) -> tuple[float, float]:
     return m, se
 
 
-# --------------------------------------------------------------------------
-# Ancillarity (pairwise two-sample KS across the parameter grid)
-# --------------------------------------------------------------------------
+def _var_se(arr: np.ndarray) -> tuple[float, float]:
+    """Sample variance and its standard error sqrt((m4 - var^2) / N)."""
+    var = float(arr.var(ddof=1))
+    m4 = float(np.mean((arr - arr.mean()) ** 4))
+    return var, math.sqrt(max(m4 - var * var, 0.0) / arr.size)
+
+
+def _z(diff: float, se: float, quantity: str, theta: float) -> float:
+    """diff / se; a zero or undefined SE leaves nothing to test against."""
+    if not 0.0 < se < math.inf:
+        raise VerificationError(f"standard error of {quantity} at theta={theta:g} is "
+                                f"{se:g}; a constant or too small sample cannot be tested")
+    return diff / se
+
 
 def verify_ancillarity(token: str, statistic: str, config: MCConfig,
                        c: float = 1.0) -> VerificationReport:
@@ -302,32 +338,20 @@ def verify_ancillarity(token: str, statistic: str, config: MCConfig,
         verdicts=verdicts, seed=config.master_seed, degenerate_count=degenerate)
 
 
-# --------------------------------------------------------------------------
-# First-order ancillarity (constant mean across the grid)
-# --------------------------------------------------------------------------
-
-#: Known theoretical constants for first-order ancillary means; callables of c.
-_FIRST_ORDER_TARGETS = {
-    "first_order_h": lambda c: 2.0 * (2.0 * float(ndtr(1.0)) - 1.0),
-    "positive_indicator": lambda c: float(ndtr(1.0 / c)),
-}
-
-
 def verify_first_order(token: str, statistic: str, config: MCConfig,
                        c: float = 1.0) -> VerificationReport:
     """Pass iff the statistic's mean is constant (within 3 SE) across the grid.
 
     When the statistic has a known parameter-free mean the comparison is
-    against that constant; otherwise against the pooled grand mean.
+    against that constant; otherwise against the pooled grand mean.  A grid
+    point where the statistic is constant (SE 0) raises VerificationError.
     """
     per_point, degenerate = run_grid(token, config.theta_grid, config.n, c,
                                      config, [statistic])
-    means, ses = [], []
-    for p in per_point:
-        m, se = _mean_se(p[statistic])
-        means.append(m)
-        ses.append(se)
-    target_fn = _FIRST_ORDER_TARGETS.get(statistic)
+    means, ses = zip(*(_mean_se(p[statistic]) for p in per_point))
+    for t, se in zip(config.theta_grid, ses):
+        _z(0.0, se, statistic, t)
+    target_fn = resolve_statistic(statistic, token, config.n).target
     if target_fn is not None:
         target = target_fn(c)
         target_se = 0.0
@@ -349,10 +373,6 @@ def verify_first_order(token: str, statistic: str, config: MCConfig,
         statistics={"target_mean": target, "max_abs_z": zmax},
         verdicts=verdicts, seed=config.master_seed, degenerate_count=degenerate)
 
-
-# --------------------------------------------------------------------------
-# Independence of two statistics (chi-square on quantile-binned table)
-# --------------------------------------------------------------------------
 
 def _quantile_bins(arr: np.ndarray, k: int) -> np.ndarray:
     edges = np.unique(np.quantile(arr, np.linspace(0.0, 1.0, k + 1)[1:-1]))
@@ -376,14 +396,15 @@ def verify_independence(stat_a: str, stat_b: str, token: str, config: MCConfig,
         a, b = sim[stat_a], sim[stat_b]
         ia = _quantile_bins(a, k)
         ib = _quantile_bins(b, k)
-        ka, kb = ia.max() + 1, ib.max() + 1
-        if ka < 2 or kb < 2:
+        table = np.zeros((ia.max() + 1, ib.max() + 1), dtype=np.int64)
+        np.add.at(table, (ia, ib), 1)
+        # ties can leave a quantile bin empty; it carries no information
+        table = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
+        if min(table.shape) < 2:
             # a (near-)constant statistic is independent of anything
             p = 1.0
             chi2 = 0.0
         else:
-            table = np.zeros((ka, kb), dtype=np.int64)
-            np.add.at(table, (ia, ib), 1)
             res = chi2_contingency(table)
             chi2, p = float(res.statistic), float(res.pvalue)
         min_p = min(min_p, p)
@@ -395,10 +416,6 @@ def verify_independence(stat_a: str, stat_b: str, token: str, config: MCConfig,
         statistics={"min_p_value": min_p, "alpha": alpha, "bins": k},
         verdicts=verdicts, seed=config.master_seed, degenerate_count=degenerate)
 
-
-# --------------------------------------------------------------------------
-# Rao zero-covariance necessary condition
-# --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ZeroMeanSpec:
@@ -442,6 +459,21 @@ def zero_mean_from_ancillary(spec_id: str, source: str, transform, token: str,
                         center=center, center_se=center_se)
 
 
+def median_indicator(token: str, n: int, c: float, seed: int):
+    """1{w <= median} with the ancillary's median frozen from a calibration run at theta=1."""
+    cfg = MCConfig(master_seed=seed, replicates=100_000, theta_grid=(1.0,), n=n)
+    per_point, _ = run_grid(token, (1.0,), n, c, cfg, ["ancillary"])
+    median = float(np.median(per_point[0]["ancillary"]))
+    return lambda w: (np.asarray(w) <= median).astype(float)
+
+
+#: Transforms of the ancillary for zero-mean statistics, by name: each maps
+#: (token, n, c, seed) to the elementwise transform; only the median
+#: indicator uses them, for its calibration run.
+TRANSFORMS = {"log": lambda *_: np.log, "identity": lambda *_: identity,
+              "indicator": median_indicator}
+
+
 def rao_zero_cov(g_stat: str, u: ZeroMeanSpec, token: str, config: MCConfig,
                  power: int = 1, c: float = 1.0) -> VerificationReport:
     """Estimate E_theta(g^k * U) across the grid and test consistency with 0.
@@ -469,7 +501,7 @@ def rao_zero_cov(g_stat: str, u: ZeroMeanSpec, token: str, config: MCConfig,
         est, se_prod = _mean_se(prod)
         # uncertainty of the frozen centering constant enters through E[g^k]
         se = math.sqrt(se_prod ** 2 + (float(g.mean()) * u.center_se) ** 2)
-        z = est / se
+        z = _z(est, se, "E[g^k U]", t)
         zmax = max(zmax, abs(z))
         points.append(GridPointResult(
             param=t, estimates={"E[g^k U]": est}, se={"E[g^k U]": se},
@@ -488,10 +520,6 @@ def rao_zero_cov(g_stat: str, u: ZeroMeanSpec, token: str, config: MCConfig,
         seed=config.master_seed, degenerate_count=degenerate)
 
 
-# --------------------------------------------------------------------------
-# Conditional-moment dependence on the ancillary
-# --------------------------------------------------------------------------
-
 def cond_moment_dependence(g_stat: str, token: str, theta: float,
                            config: MCConfig, w_stat: str = "ancillary",
                            c: float = 1.0, overlay: bool = False) -> VerificationReport:
@@ -501,7 +529,8 @@ def cond_moment_dependence(g_stat: str, token: str, theta: float,
     extreme bin means exceeds 4x their combined SE; ``pass`` means no
     dependence was detected.  With ``overlay=True`` (Nile unbiased
     estimator only) each bin also carries the quadrature prediction
-    theta^2 * E_1(ybar^2|W) / E_1(ybar|W)^2 at the bin center.
+    theta^2 * E_1(ybar^2|W) / E_1(ybar|W)^2 at the bin center.  A bin of
+    fewer than two replicates raises VerificationError.
     """
     per_point, degenerate = run_grid(token, (theta,), config.n, c, config,
                                      [g_stat, w_stat])
@@ -510,6 +539,10 @@ def cond_moment_dependence(g_stat: str, token: str, theta: float,
     g2 = sim[g_stat] ** 2
     edges = np.quantile(w, np.linspace(0.0, 1.0, 11)[1:-1])
     idx = np.searchsorted(edges, w, side="right")
+    fewest = int(np.bincount(idx, minlength=10).min())
+    if fewest < 2:
+        raise VerificationError(f"a decile bin of {w_stat} at theta={theta:g} holds "
+                                f"{fewest} replicates; its mean cannot be tested")
     points = []
     bin_means, bin_ses = [], []
     for b in range(10):
@@ -521,7 +554,7 @@ def cond_moment_dependence(g_stat: str, token: str, theta: float,
         if overlay:
             pred = theta ** 2 * cond_second_moment_ratio(center, config.n)
             stats["prediction"] = pred
-            stats["prediction_z"] = (m - pred) / se
+            stats["prediction_z"] = _z(m - pred, se, "E[g^2|bin]", center)
         bin_means.append(m)
         bin_ses.append(se)
         points.append(GridPointResult(param=center, estimates={"E[g^2|bin]": m},
@@ -539,35 +572,17 @@ def cond_moment_dependence(g_stat: str, token: str, theta: float,
         seed=config.master_seed, degenerate_count=degenerate)
 
 
-# --------------------------------------------------------------------------
-# Fisher information for NormalCV
-# --------------------------------------------------------------------------
-
 def fisher_info(theta: float, c: float, config: MCConfig) -> VerificationReport:
     """MC variance of the per-observation score vs the closed form (2 + 1/c^2)/theta^2.
 
     Also reports the location-only information 1/(c^2 theta^2) and the
     ratio (2 c^2 + 1) between the two.
     """
-    sizes = _chunk_sizes(config.replicates, N_CHUNKS)
-    children = np.random.SeedSequence(config.master_seed).spawn(len(sizes))
-    scores = []
-    for ci, size in enumerate(sizes):
-        rng = np.random.default_rng(children[ci])
-        x = theta + c * theta * rng.standard_normal(size)
-        d = x - theta
-        scores.append(-1.0 / theta + d / (c * c * theta * theta)
-                      + d * d / (c * c * theta ** 3))
-    s = np.concatenate(scores)
-    n_rep = s.size
-    var = float(s.var(ddof=1))
-    centered = s - s.mean()
-    # SE of a sample variance: sqrt((m4 - m2^2)/N)
-    m4 = float(np.mean(centered ** 4))
-    se = math.sqrt(max(m4 - var * var, 0.0) / n_rep)
+    per_point, _ = run_grid("normal_cv", (theta,), 1, c, config, ["score"])
+    var, se = _var_se(per_point[0]["score"])
     closed = (2.0 + 1.0 / (c * c)) / (theta * theta)
     location_only = 1.0 / (c * c * theta * theta)
-    z = (var - closed) / se
+    z = _z(var - closed, se, "score_variance", theta)
     point = GridPointResult(param=theta, estimates={"score_variance": var},
                             se={"score_variance": se}, statistics={"z": z})
     return VerificationReport(
@@ -578,10 +593,6 @@ def fisher_info(theta: float, c: float, config: MCConfig) -> VerificationReport:
         verdicts={"matches-closed-form": "pass" if abs(z) < 3.0 else "fail"},
         seed=config.master_seed)
 
-
-# --------------------------------------------------------------------------
-# Bias / variance / MSE comparison table
-# --------------------------------------------------------------------------
 
 def variance_table(estimators, token: str, config: MCConfig,
                    c: float = 1.0) -> VerificationReport:
@@ -594,10 +605,7 @@ def variance_table(estimators, token: str, config: MCConfig,
         for name in estimators:
             vals = sim[name]
             m, m_se = _mean_se(vals)
-            var = float(vals.var(ddof=1))
-            centered = vals - m
-            var_se = math.sqrt(max(float(np.mean(centered ** 4)) - var * var, 0.0)
-                               / vals.size)
+            var, var_se = _var_se(vals)
             est[f"{name}.bias"] = m - t
             se[f"{name}.bias"] = m_se
             est[f"{name}.variance"] = var

@@ -1,9 +1,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nilelab import verify
 from nilelab.cli import (EXPERIMENT_KINDS, ConfigError, ExperimentConfig,
-                         format_config, list_experiments, main, parse_config)
+                         format_config, list_experiments, main, parse_config,
+                         run_experiment)
 
 
 class TestParseConfig:
@@ -159,3 +163,62 @@ class TestRun:
         cfg = _write(tmp_path, "kind = constraints\n", name="mycheck.cfg")
         assert main(["run", str(cfg), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "mycheck.report.json").exists()
+
+
+#: Configs that name a statistic outside its family or n, or a parameter
+#: outside the family's domain, with the text the error line must carry.
+BAD_CONFIGS = [
+    ("kind = independence\nfamily = normal_cv\nn = 1\n", "field 'stat_b'"),
+    ("kind = ancillarity\nfamily = uniform_location\nstatistic = sample_sd\n",
+     "field 'statistic'"),
+    ("kind = ancillarity\nfamily = bivariate_gaussian_corr\nstatistic = sample_mean\n",
+     "field 'statistic'"),
+    ("kind = variance-table\nfamily = nile\nestimators = khan_linear\n", "field 'estimators'"),
+    ("kind = cond-moment\nfamily = uniform_location\n", "field 'estimator'"),
+    ("kind = rao\nfamily = normal_unit\nestimator = nile_mle\n", "field 'estimator'"),
+    ("kind = rao\nfamily = bivariate_gaussian_corr\n", "field 'family'"),
+    ("kind = ancillarity\nfamily = normal_cv\ngrid = -1, -2\n",
+     "normal_cv: theta must be finite and > 0, got -1.0"),
+    ("kind = first-order\ngrid = 0.5, 1.5\n",
+     "bivariate_gaussian_corr: rho must lie in (-1, 1), got 1.5"),
+    ("kind = first-order\nfamily = normal_cv\nc = 0.01\n",
+     "positive_indicator at theta=0.5 is 0"),
+]
+
+
+@pytest.mark.parametrize("text,message", BAD_CONFIGS,
+                         ids=[t.replace("\n", " ").strip() for t, _ in BAD_CONFIGS])
+def test_bad_config_exits_one_with_error_line(tmp_path, capsys, text, message):
+    cfg = _write(tmp_path, text + "replicates = 2000\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not list(out.glob("*"))
+
+
+_NAMES = ("",) + tuple(verify.STATISTICS) + ("ancillary",)
+_POINTS = (-1.5, -0.5, 0.0, 0.5, 0.9, 2.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 1-replicate means and SEs
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(kind=st.sampled_from(EXPERIMENT_KINDS),
+       family=st.sampled_from(("",) + verify.FAMILY_TOKENS),
+       statistic=st.sampled_from(_NAMES), stat_a=st.sampled_from(_NAMES),
+       stat_b=st.sampled_from(_NAMES), estimator=st.sampled_from(_NAMES),
+       estimators=st.lists(st.sampled_from(_NAMES[1:]), max_size=2),
+       transform=st.sampled_from(tuple(verify.TRANSFORMS)),
+       grid=st.lists(st.sampled_from(_POINTS), max_size=3),
+       theta=st.sampled_from(_POINTS), n=st.sampled_from((1, 2, 5)),
+       c=st.sampled_from((0.01, 1.0)), replicates=st.sampled_from((1, 2, 30, 2000)))
+def test_any_config_reports_or_raises_typed_error(**values):
+    values["estimators"] = ",".join(values["estimators"])
+    values["grid"] = ",".join(map(str, values["grid"]))
+    text = "".join(f"{k} = {v}\n" for k, v in values.items() if v != "")
+    cfg = parse_config(text)
+    try:
+        report = run_experiment(cfg)
+    except (ConfigError, verify.VerificationError):
+        return
+    assert report.verdict in ("pass", "fail", "inconclusive")

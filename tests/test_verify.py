@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from nilelab.families import (DomainError, bivariate_gaussian, nile, normal_cv,
+                              sample, uniform_location)
 from nilelab.verify import (MCConfig, VerificationError, VerificationReport,
                             GridPointResult, ZeroMeanSpec,
                             cond_moment_dependence, fisher_info, identity,
@@ -233,3 +235,30 @@ class TestReportStructure:
         assert len(rows) == 2  # one quantity per grid point
         for row in rows:
             assert len(row) == len(header)
+
+
+def test_run_grid_checks_statistics_and_domain_before_sampling():
+    with pytest.raises(ValueError, match="'khan_linear' is not defined for family 'nile'"):
+        run_grid("nile", (1.0,), 5, 1.0, _cfg(grid=(1.0,)), ["khan_linear"])
+    with pytest.raises(ValueError, match="'sample_sd' needs n >= 2"):
+        run_grid("normal_cv", (1.0,), 1, 1.0, _cfg(grid=(1.0,), n=1), ["sample_sd"])
+    with pytest.raises(ValueError, match="declares no ancillary"):
+        run_grid("bivariate_gaussian_corr", (0.0,), 1, 1.0, _cfg(grid=(0.0,)), ["ancillary"])
+    with pytest.raises(DomainError, match="theta must be finite and > 0"):
+        run_grid("nile", (1.0, -1.0), 5, 1.0, _cfg(grid=(1.0, -1.0)), ["ancillary"])
+
+
+@pytest.mark.parametrize("model,param,n,stat,of_sample", [
+    (nile(1.3), 1.3, 5, "nile_product", lambda p: p[:, 0].mean() * p[:, 1].mean()),
+    (normal_cv(2.0, c=0.5), 2.0, 5, "sample_mean", lambda p: p.mean()),
+    (uniform_location(-0.7), -0.7, 5, "uniform_range", lambda p: p.max() - p.min()),
+    # the correlation family is sampled one pair per replicate
+    (bivariate_gaussian(0.4), 0.4, 1, "xy_product", lambda p: p[0, 0] * p[0, 1]),
+])
+def test_engine_replicate_equals_scalar_sample(model, param, n, stat, of_sample):
+    # one replicate consumes the first spawned substream of the master seed
+    rng = np.random.default_rng(np.random.SeedSequence(4).spawn(1)[0])
+    points = sample(model, n, rng).points
+    out, _ = run_grid(model.kind.value, (param,), n, model.c,
+                      _cfg(seed=4, grid=(param,), n=n, replicates=1), [stat])
+    assert out[0][stat][0] == of_sample(points)
