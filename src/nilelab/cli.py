@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import selftest, verify
-from .families import DomainError
+from .families import FAMILIES, DomainError
 
 EXIT_PASS = 0
 EXIT_ERROR = 1
@@ -146,7 +146,7 @@ def _statistic(field: str, name: str, family: str, n: int) -> str:
 def _ancillarity(cfg):
     family = cfg.family or "nile"
     # a family with no declared ancillary fails the check on the alias
-    stat = _statistic("statistic", cfg.statistic or verify.ANCILLARY.get(family, "ancillary"),
+    stat = _statistic("statistic", cfg.statistic or FAMILIES[family].ancillary or "ancillary",
                       family, cfg.n)
     grid = cfg.grid or (0.5, 1.0, 2.0, 4.0)
     if len(grid) < 2:
@@ -272,12 +272,10 @@ def _fmt(value) -> str:
 
 def write_report(report: verify.VerificationReport, out_dir: Path, name: str,
                  timestamp: bool = True) -> list[Path]:
-    """Write ``<name>.report.json`` and ``<name>.table.csv``; return the paths."""
+    """Write ``<name>.report.json`` and ``<name>.table.csv`` (neither on OSError)."""
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / f"{name}.report.json"
     csv_path = out_dir / f"{name}.table.csv"
-    json_path.write_text(json.dumps(report.to_json_dict(), indent=2,
-                                    default=_fmt) + "\n")
     header, rows = report.table_rows()
     buf = io.StringIO()
     if timestamp:
@@ -287,7 +285,13 @@ def write_report(report: verify.VerificationReport, out_dir: Path, name: str,
     writer.writerow(header)
     for row in rows:
         writer.writerow([_fmt(v) for v in row])
-    csv_path.write_text(buf.getvalue())
+    json_path.write_text(json.dumps(report.to_json_dict(), indent=2,
+                                    default=_fmt) + "\n")
+    try:
+        csv_path.write_text(buf.getvalue())
+    except OSError:
+        json_path.unlink()
+        raise
     return [json_path, csv_path]
 
 
@@ -305,8 +309,21 @@ def list_experiments() -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_run(args) -> int:
+def _write_all(reports, out_dir: Path) -> bool:
+    """Write each (report, name); on OSError remove what was written and print an error."""
     written = []
+    try:
+        for report, name in reports:
+            written += write_report(report, out_dir, name)
+    except OSError as exc:
+        for p in written:
+            p.unlink()
+        print(f"error: cannot write report to {out_dir}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def cmd_run(args) -> int:
     try:
         path = Path(args.config)
         try:
@@ -324,13 +341,12 @@ def cmd_run(args) -> int:
         cfg.validate()
         name = cfg.name or path.stem
         report = run_experiment(cfg)
-        written = write_report(report, Path(cfg.out), name)
+        if not _write_all([(report, name)], Path(cfg.out)):
+            return EXIT_ERROR
         for sub, verdict in report.verdicts.items():
             print(f"{name}: {sub}: {verdict}")
         return _exit_code(report)
     except (ConfigError, verify.VerificationError, ValueError) as exc:
-        for p in written:
-            p.unlink(missing_ok=True)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -342,11 +358,11 @@ def cmd_list(_args) -> int:
 
 def cmd_selftest(args) -> int:
     reports = [selftest.quadrature_selftest(), selftest.constraint_selftest()]
+    if args.out is not None and not _write_all(
+            [(r, f"selftest-{r.claim.split()[0]}") for r in reports], Path(args.out)):
+        return EXIT_ERROR
     code = EXIT_PASS
     for report in reports:
-        if args.out is not None:
-            name = report.claim.split()[0]
-            write_report(report, Path(args.out), f"selftest-{name}")
         for sub, verdict in report.verdicts.items():
             print(f"{sub}: {verdict}")
         code = max(code, _exit_code(report))

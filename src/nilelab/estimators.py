@@ -12,14 +12,17 @@ from __future__ import annotations
 
 import math
 import threading
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import gammaln
 
-from .families import InputError, Kind
+from .families import InputError, InsufficientSampleError, Kind
 from .quadrature import cond_moment
-from .statistics import InsufficientSampleError, SufficientSummary
+
+if TYPE_CHECKING:  # statistics imports verify, which imports this module
+    from .statistics import SufficientSummary
 
 
 def _require(summary: SufficientSummary, kind: Kind):
@@ -44,16 +47,14 @@ def nile_equivariant(summary: SufficientSummary, h) -> float:
     return ybar * hw
 
 
-# --------------------------------------------------------------------------
 # h*: the unique h making ybar*h(W) unbiased, h*(w) = 1 / E_1(ybar | W = w).
 # Direct evaluation needs two adaptive quadratures per call, far too slow for
 # Monte Carlo loops, so each sample size gets a lazily built log-log cubic
 # spline over a wide w-grid; off-grid arguments fall back to direct
 # quadrature.
-# --------------------------------------------------------------------------
 
 _GRID_LOG10_LO = -8.0
-_GRID_LOG10_HI = 6.0
+_LOGW_LO, _LOGW_HI = _GRID_LOG10_LO * math.log(10.0), 6.0 * math.log(10.0)
 _GRID_POINTS = 2001
 
 _hstar_tables: dict[int, CubicSpline] = {}
@@ -61,8 +62,7 @@ _hstar_lock = threading.Lock()
 
 
 def _build_table(n: int) -> CubicSpline:
-    logw = np.linspace(_GRID_LOG10_LO * math.log(10.0),
-                       _GRID_LOG10_HI * math.log(10.0), _GRID_POINTS)
+    logw = np.linspace(_LOGW_LO, _LOGW_HI, _GRID_POINTS)
     # rounding in exp() can push the lowest node a hair below the
     # near-singular floor; clamp so the build never warns
     floor = 10.0 ** _GRID_LOG10_LO
@@ -86,22 +86,15 @@ def h_star(w: float, n: int) -> float:
     """Reciprocal of the first conditional moment of ybar given W = w."""
     if not w > 0:
         raise ValueError(f"w must be positive, got {w}")
-    logw = math.log(w)
-    lo = _GRID_LOG10_LO * math.log(10.0)
-    hi = _GRID_LOG10_HI * math.log(10.0)
-    if logw < lo or logw > hi:
-        return 1.0 / cond_moment(1, w, n)
-    return math.exp(-float(_table_for(n)(logw)))
+    return float(h_star_vector([w], n)[0])
 
 
 def h_star_vector(w: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized ``h_star`` for Monte Carlo loops (all w must be on-grid)."""
+    """Vectorized ``h_star``; w off the spline grid falls back to direct quadrature."""
     w = np.asarray(w, dtype=float)
     logw = np.log(w)
-    lo = _GRID_LOG10_LO * math.log(10.0)
-    hi = _GRID_LOG10_HI * math.log(10.0)
     out = np.empty_like(logw)
-    inside = (logw >= lo) & (logw <= hi)
+    inside = (logw >= _LOGW_LO) & (logw <= _LOGW_HI)
     out[inside] = np.exp(-_table_for(n)(logw[inside]))
     for i in np.flatnonzero(~inside):
         out[i] = 1.0 / cond_moment(1, float(w[i]), n)
@@ -114,10 +107,6 @@ def nile_equivariant_star(summary: SufficientSummary) -> float:
     xbar, ybar = summary.components
     return ybar * h_star(xbar * ybar, summary.n)
 
-
-# --------------------------------------------------------------------------
-# NormalCV
-# --------------------------------------------------------------------------
 
 def normalcv_mle_from_sums(sum_x, sum_x2, n: int, c: float):
     """Positive root of the likelihood score n c^2 t^2 + t sum_x - sum_x2 = 0.
@@ -169,19 +158,9 @@ def khan_linear(summary: SufficientSummary, c: float) -> float:
     return a * xbar + b * s
 
 
-# --------------------------------------------------------------------------
-# UniformLocation
-# --------------------------------------------------------------------------
-
 def pitman_midrange(summary: SufficientSummary) -> float:
     """(min + max) / 2: the best translation-equivariant estimate under squared loss."""
     _require(summary, Kind.UNIFORM_LOCATION)
     lo, hi = summary.components
     return 0.5 * (lo + hi)
 
-
-def sample_mean(summary: SufficientSummary) -> float:
-    """xbar for families whose first sufficient component is the mean."""
-    if summary.kind is Kind.UNIFORM_LOCATION:
-        raise InputError("UniformLocation summary does not carry the sample mean")
-    return summary.components[0]

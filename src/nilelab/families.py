@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,16 +29,20 @@ class Kind(enum.Enum):
     UNIFORM_LOCATION = "uniform_location"
 
 
-#: Families whose observations are (x, y) pairs rather than scalars.
-PAIR_KINDS = frozenset({Kind.NILE, Kind.BIVARIATE_GAUSSIAN_CORR})
-
-
 class DomainError(ValueError):
     """Parameter outside the family's domain."""
 
 
 class InputError(ValueError):
     """Invalid observation or argument."""
+
+
+class DegenerateSampleError(ValueError):
+    """All observations equal where a positive spread is required (s = 0)."""
+
+
+class InsufficientSampleError(ValueError):
+    """Sample too small for the requested statistic."""
 
 
 @dataclass(frozen=True)
@@ -55,17 +60,12 @@ class FamilyModel:
     c: float = 1.0
 
     def __post_init__(self):
-        if self.kind in (Kind.NILE, Kind.NORMAL_CV):
-            if not (math.isfinite(self.theta) and self.theta > 0):
-                raise DomainError(f"{self.kind.value}: theta must be finite and > 0, got {self.theta}")
-        elif self.kind is Kind.UNIFORM_LOCATION:
-            if not math.isfinite(self.theta):
-                raise DomainError(f"uniform_location: theta must be finite, got {self.theta}")
-        elif self.kind is Kind.BIVARIATE_GAUSSIAN_CORR:
-            if not (math.isfinite(self.rho) and -1.0 < self.rho < 1.0):
-                raise DomainError(f"bivariate_gaussian_corr: rho must lie in (-1, 1), got {self.rho}")
-        if self.kind is Kind.NORMAL_CV and not (math.isfinite(self.c) and self.c > 0):
-            raise DomainError(f"normal_cv: c must be finite and > 0, got {self.c}")
+        FAMILIES[self.kind.value].check(self.param, self.c)
+
+    @property
+    def param(self) -> float:
+        """The family's scalar parameter: rho for BivariateGaussianCorr, else theta."""
+        return self.rho if self.kind is Kind.BIVARIATE_GAUSSIAN_CORR else self.theta
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ class ObservationSet:
         object.__setattr__(self, "points", pts)
         if pts.shape[0] < 1:
             raise InputError("observation set must be nonempty")
-        if self.model.kind in PAIR_KINDS:
+        if FAMILIES[self.model.kind.value].pairs:
             if pts.ndim != 2 or pts.shape[1] != 2:
                 raise InputError("pair family requires points of shape (n, 2)")
         elif pts.ndim != 1:
@@ -105,7 +105,7 @@ def density(model: FamilyModel, point) -> float:
     ``point`` is an (x, y) pair for Nile / BivariateGaussianCorr and a
     scalar otherwise.
     """
-    if model.kind in PAIR_KINDS:
+    if FAMILIES[model.kind.value].pairs:
         x, y = float(point[0]), float(point[1])
         if not (math.isfinite(x) and math.isfinite(y)):
             raise InputError("non-finite point")
@@ -129,13 +129,41 @@ def density(model: FamilyModel, point) -> float:
 
 def sample(model: FamilyModel, n: int, rng: np.random.Generator,
            seed_trace: str = "") -> ObservationSet:
-    """Draw n i.i.d. observations with the family's exact sampler in ``SAMPLERS``."""
+    """Draw n i.i.d. observations with the family's exact sampler in ``FAMILIES``."""
     if n < 1:
         raise InputError(f"sample size must be >= 1, got {n}")
-    param = model.rho if model.kind is Kind.BIVARIATE_GAUSSIAN_CORR else model.theta
-    draws = SAMPLERS[model.kind.value](param, model.c, rng, n)
-    pts = np.column_stack(draws) if model.kind in PAIR_KINDS else draws
+    family = FAMILIES[model.kind.value]
+    draws = family.draw(model.param, model.c, rng, n)
+    pts = np.column_stack(draws) if family.pairs else draws
     return ObservationSet(points=pts, model=model, seed_trace=seed_trace)
+
+
+#: One row per family.  ``draw(theta, c, rng, size)``: i.i.d. observations of
+#: shape ``size`` (a pair of arrays when ``pairs``; theta is rho for the
+#: correlation family).  ``reduce(draws, n)``: named per-replicate arrays from
+#: draws of shape (replicates, observations), with a ``degenerate`` mask of
+#: replicates to drop.  ``check(theta, c)``: DomainError off the domain.
+#: ``sufficient``: the reduced arrays of the minimal sufficient statistic.
+#: ``ancillary``: the ``verify.STATISTICS`` entry the alias "ancillary" means,
+#: or None.  ``single_pair``: one pair per engine replicate.
+Family = namedtuple("Family", "draw reduce check sufficient ancillary pairs single_pair",
+                    defaults=(False, False))
+
+
+def _domain(token, rule, inside, name="theta"):
+    def check(param, c):
+        if not (math.isfinite(param) and inside(param)):
+            raise DomainError(f"{token}: {name} must {rule}, got {param}")
+    return check
+
+
+_FINITE = ("be finite", lambda t: True)
+_POSITIVE = ("be finite and > 0", lambda t: t > 0)
+
+
+def _check_normal_cv(theta, c):
+    _domain("normal_cv", *_POSITIVE)(theta, c)
+    _domain("normal_cv", *_POSITIVE, name="c")(c, c)
 
 
 def _draw_bivariate_gaussian(rho, c, rng, size):
@@ -143,18 +171,47 @@ def _draw_bivariate_gaussian(rho, c, rng, size):
     return z1, rho * z1 + math.sqrt(1.0 - rho * rho) * rng.standard_normal(size)
 
 
-#: One vectorized exact sampler per family, keyed by engine token, used by both
-#: ``sample`` and the Monte Carlo engine: ``draw(theta, c, rng, size)`` returns
-#: i.i.d. observations of shape ``size`` (an ``(x, y)`` pair of arrays for pair
-#: families; theta is rho for the correlation family).  "normal_unit" is the
-#: N(theta, 1) positive-control fixture of the engine.
-SAMPLERS = {
-    "nile": lambda theta, c, rng, size: (rng.exponential(1.0 / theta, size),
-                                         rng.exponential(theta, size)),
-    "bivariate_gaussian_corr": _draw_bivariate_gaussian,
-    "normal_cv": lambda theta, c, rng, size: theta + c * theta * rng.standard_normal(size),
-    "uniform_location": lambda theta, c, rng, size: rng.uniform(theta - 1.0, theta + 1.0, size),
-    "normal_unit": lambda theta, c, rng, size: theta + rng.standard_normal(size),
+def _reduce_scalar(x, n):
+    out = {"xbar": x.mean(axis=1), "x1": x[:, 0]}
+    if n >= 2:
+        out["diff12"] = x[:, 0] - x[:, 1]
+    return out
+
+
+def _reduce_normal_cv(x, n):
+    out = {**_reduce_scalar(x, n), "sum_x": x.sum(axis=1), "sum_x2": np.sum(x * x, axis=1)}
+    if n >= 2:
+        out["s"] = x.std(axis=1, ddof=1)
+        out["degenerate"] = out["s"] == 0
+    return out
+
+
+#: Keyed by ``Kind`` value, plus "normal_unit": the N(theta, 1) positive-control
+#: fixture of the engine (complete sufficient statistic, so every
+#: UMVUE-condition check must come out clean on it).
+FAMILIES = {
+    "nile": Family(
+        lambda theta, c, rng, size: (rng.exponential(1.0 / theta, size),
+                                     rng.exponential(theta, size)),
+        lambda d, n: {"xbar": d[0].mean(axis=1), "ybar": d[1].mean(axis=1)},
+        _domain("nile", *_POSITIVE), ("xbar", "ybar"), "nile_product", pairs=True),
+    "bivariate_gaussian_corr": Family(
+        _draw_bivariate_gaussian,
+        lambda d, n: {"x": d[0][:, 0], "y": d[1][:, 0],
+                      "sum_sq": np.sum(d[0] * d[0] + d[1] * d[1], axis=1),
+                      "sum_xy": np.sum(d[0] * d[1], axis=1)},
+        _domain("bivariate_gaussian_corr", "lie in (-1, 1)", lambda r: -1.0 < r < 1.0, "rho"),
+        ("sum_sq", "sum_xy"), None, pairs=True, single_pair=True),
+    "normal_cv": Family(
+        lambda theta, c, rng, size: theta + c * theta * rng.standard_normal(size),
+        _reduce_normal_cv, _check_normal_cv, ("xbar", "s"), "normal_cv_ratio"),
+    "uniform_location": Family(
+        lambda theta, c, rng, size: rng.uniform(theta - 1.0, theta + 1.0, size),
+        lambda x, n: {**_reduce_scalar(x, n), "lo": x.min(axis=1), "hi": x.max(axis=1)},
+        _domain("uniform_location", *_FINITE), ("lo", "hi"), "uniform_range"),
+    "normal_unit": Family(
+        lambda theta, c, rng, size: theta + rng.standard_normal(size),
+        _reduce_scalar, _domain("normal_unit", *_FINITE), ("xbar",), None),
 }
 
 

@@ -91,10 +91,9 @@ def constraint_selftest() -> VerificationReport:
         for model in _family_grid(kind):
             np_ = canonical.natural_params(model)
             etas.append(np_.eta)
-            param = model.rho if kind is families.Kind.BIVARIATE_GAUSSIAN_CORR else model.theta
             worst = max(worst, abs(np_.residual))
             points.append(GridPointResult(
-                param=float(param),
+                param=float(model.param),
                 estimates={"eta1": np_.eta[0], "eta2": np_.eta[1]},
                 statistics={"family": kind.value, "residual": np_.residual}))
         e = np.asarray(etas)

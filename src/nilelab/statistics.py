@@ -1,4 +1,10 @@
-"""Sufficient statistics, ancillary statistics, and first-order ancillaries."""
+"""Sufficient statistics, ancillary statistics, and first-order ancillaries.
+
+The scalar functions are the Monte Carlo engine evaluated on one replicate:
+``sufficient`` runs the family's ``families.FAMILIES`` reducer on the sample,
+and ``ancillary``, ``first_order_h`` and ``positive_indicator`` evaluate the
+``verify.STATISTICS`` entry on length-1 arrays.
+"""
 
 from __future__ import annotations
 
@@ -8,36 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import FamilyModel, InputError, Kind, ObservationSet
-
-
-class DegenerateSampleError(ValueError):
-    """All observations equal where a positive spread is required (s = 0)."""
-
-
-class InsufficientSampleError(ValueError):
-    """Sample too small for the requested statistic."""
+from .families import (FAMILIES, DegenerateSampleError, InputError,  # noqa: F401 (re-export)
+                       InsufficientSampleError, Kind, ObservationSet)
+from .verify import STATISTICS
 
 
 class StatId(enum.Enum):
     NILE_PRODUCT = "nile_product"          # W = xbar * ybar
     NORMAL_CV_RATIO = "normal_cv_ratio"    # W = xbar / s
     UNIFORM_RANGE = "uniform_range"        # W = x_(n) - x_(1)
-    FIRST_ORDER_H = "first_order_h"
-    POSITIVE_INDICATOR = "positive_indicator"
-    STD_RESIDUALS = "std_residuals"
 
 
 @dataclass(frozen=True)
 class SufficientSummary:
-    """Minimal sufficient statistic value for one sample.
-
-    components by family:
-      Nile                  (xbar, ybar)
-      BivariateGaussianCorr (sum(x^2 + y^2), sum(x*y))
-      NormalCV              (xbar, s)   with s the n-1 divisor standard deviation
-      UniformLocation       (min, max)
-    """
+    """Minimal sufficient statistic value for one sample: the reduced arrays
+    ``families.FAMILIES[kind.value].sufficient`` names, in that order
+    (``s`` is the n-1 divisor standard deviation)."""
 
     kind: Kind
     components: tuple
@@ -63,53 +55,48 @@ class AncillaryValue:
             raise InputError("ancillary value must be finite")
 
 
+def _evaluate(name: str, values: dict, n: int = 1) -> float:
+    """The engine statistic ``name`` on one replicate with reduced ``values``."""
+    sim = {k: np.array([v], dtype=float) for k, v in values.items()}
+    return float(STATISTICS[name].compute(sim, math.nan, n, 1.0)[0])
+
+
 def sufficient(obs: ObservationSet) -> SufficientSummary:
-    """Family-dispatched minimal sufficient statistic."""
+    """Minimal sufficient statistic: the family's reducer on one replicate."""
     kind = obs.model.kind
-    pts = obs.points
-    n = obs.n
-    if kind is Kind.NILE:
-        return SufficientSummary(kind, (float(pts[:, 0].mean()), float(pts[:, 1].mean())), n)
-    if kind is Kind.BIVARIATE_GAUSSIAN_CORR:
-        sq = float(np.sum(pts[:, 0] ** 2 + pts[:, 1] ** 2))
-        cross = float(np.sum(pts[:, 0] * pts[:, 1]))
-        return SufficientSummary(kind, (sq, cross), n)
-    if kind is Kind.NORMAL_CV:
-        if n < 2:
-            raise InsufficientSampleError("NormalCV sufficient statistic needs n >= 2")
-        s = float(np.std(pts, ddof=1))
-        return SufficientSummary(kind, (float(pts.mean()), s), n)
-    return SufficientSummary(kind, (float(pts.min()), float(pts.max())), n)
+    family = FAMILIES[kind.value]
+    pts = obs.points[None]
+    reduced = family.reduce((pts[..., 0], pts[..., 1]) if family.pairs else pts, obs.n)
+    if not set(family.sufficient) <= set(reduced):
+        raise InsufficientSampleError(
+            f"{kind.value}: sufficient statistic {family.sufficient} is undefined at n = {obs.n}")
+    return SufficientSummary(kind, tuple(float(reduced[k][0]) for k in family.sufficient), obs.n)
 
 
 def ancillary(summary: SufficientSummary) -> AncillaryValue:
-    """The family's canonical ancillary statistic, as a function of the summary."""
-    if summary.kind is Kind.NILE:
-        xbar, ybar = summary.components
-        return AncillaryValue(xbar * ybar, StatId.NILE_PRODUCT)
-    if summary.kind is Kind.NORMAL_CV:
-        xbar, s = summary.components
-        if s == 0.0:
-            raise DegenerateSampleError("s = 0: degenerate sample")
-        return AncillaryValue(xbar / s, StatId.NORMAL_CV_RATIO)
-    if summary.kind is Kind.UNIFORM_LOCATION:
-        lo, hi = summary.components
-        return AncillaryValue(hi - lo, StatId.UNIFORM_RANGE)
-    raise InputError(f"no scalar ancillary defined for {summary.kind}")
+    """The family's declared ancillary statistic, as a function of the summary."""
+    family = FAMILIES[summary.kind.value]
+    if family.ancillary is None:
+        raise InputError(f"no scalar ancillary defined for {summary.kind}")
+    value = _evaluate(family.ancillary, dict(zip(family.sufficient, summary.components)),
+                      summary.n)
+    if not math.isfinite(value):
+        raise DegenerateSampleError(f"{family.ancillary} = {value}: degenerate sample")
+    return AncillaryValue(value, StatId(family.ancillary))
 
 
 def first_order_h(x: float, y: float) -> int:
     """1{|x|<=1} + 1{|y|<=1}; symmetric in (x,y) and under joint sign flip."""
     if not (math.isfinite(x) and math.isfinite(y)):
         raise InputError("non-finite point")
-    return int(abs(x) <= 1.0) + int(abs(y) <= 1.0)
+    return int(_evaluate("first_order_h", {"x": x, "y": y}))
 
 
 def positive_indicator(x: float) -> int:
     """1 if x > 0 else 0."""
     if not math.isfinite(x):
         raise InputError("non-finite value")
-    return int(x > 0)
+    return int(_evaluate("positive_indicator", {"xbar": x}))
 
 
 def residuals(obs: ObservationSet, standardized: bool = False) -> np.ndarray:

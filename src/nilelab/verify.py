@@ -26,7 +26,7 @@ from scipy.stats import chi2_contingency, ks_2samp
 
 from . import __version__ as VERSION
 from .estimators import h_star_vector, khan_coefficients, normalcv_mle_from_sums
-from .families import SAMPLERS, FamilyModel, Kind
+from .families import FAMILIES
 from .quadrature import cond_second_moment_ratio
 
 #: Fixed replicate partition; must not depend on the worker count.
@@ -120,43 +120,12 @@ class VerificationReport:
         return header, rows
 
 
-def _reduce_scalar(x, n):
-    out = {"xbar": x.mean(axis=1), "x1": x[:, 0]}
-    if n >= 2:
-        out["diff12"] = x[:, 0] - x[:, 1]
-    return out
-
-
-def _reduce_normal_cv(x, n):
-    out = {**_reduce_scalar(x, n), "sum_x": x.sum(axis=1), "sum_x2": np.sum(x * x, axis=1)}
-    if n >= 2:
-        out["s"] = x.std(axis=1, ddof=1)
-        out["degenerate"] = out["s"] == 0
-    return out
-
-
-#: Engine families: token -> reduce(draws, n), from the draws of
-#: ``families.SAMPLERS[token]`` (replicates x observations) to per-replicate arrays,
-#: with a ``degenerate`` mask of replicates to drop.  "normal_unit" is the
-#: N(theta, 1) positive-control fixture: complete sufficient statistic, so every
-#: UMVUE-condition check must come out clean on it.
-FAMILIES = {
-    "nile": lambda d, n: {"xbar": d[0].mean(axis=1), "ybar": d[1].mean(axis=1)},
-    "bivariate_gaussian_corr": lambda d, n: {"x": d[0][:, 0], "y": d[1][:, 0]},
-    "normal_cv": _reduce_normal_cv,
-    "uniform_location": lambda x, n: {**_reduce_scalar(x, n), "lo": x.min(axis=1),
-                                      "hi": x.max(axis=1)},
-    "normal_unit": _reduce_scalar,
-}
 FAMILY_TOKENS = tuple(FAMILIES)
 
-#: Each family's declared ancillary: the statistic the alias "ancillary" names.
-ANCILLARY = {"nile": "nile_product", "normal_cv": "normal_cv_ratio",
-             "uniform_location": "uniform_range"}
-
-#: A named statistic: ``compute(sim, theta, n, c)`` over the reduced arrays of
-#: one of ``families``, defined for n >= ``min_n``; ``target`` maps c to a known
-#: parameter-free mean, which the first-order check compares against.
+#: A named statistic: ``compute(sim, theta, n, c)`` over the arrays that
+#: ``families.FAMILIES[token].reduce`` gives for each token in ``families``,
+#: defined for n >= ``min_n``; ``target`` maps c to a known parameter-free
+#: mean, which the first-order check compares against.
 Statistic = namedtuple("Statistic", "compute families min_n target", defaults=(1, None))
 
 
@@ -211,9 +180,9 @@ def resolve_statistic(name: str, token: str, n: int) -> Statistic:
     """The statistic ``name`` (``ancillary``: the family's declared one) on family
     ``token`` at sample size ``n``; ValueError unless it is defined there."""
     if name == "ancillary":
-        if token not in ANCILLARY:
+        name = getattr(FAMILIES.get(token), "ancillary", None)
+        if name is None:
             raise ValueError(f"family {token!r} declares no ancillary")
-        name = ANCILLARY[token]
     stat = STATISTICS.get(name)
     if stat is None:
         raise ValueError(f"unknown statistic {name!r}")
@@ -222,14 +191,6 @@ def resolve_statistic(name: str, token: str, n: int) -> Statistic:
     if n < stat.min_n:
         raise ValueError(f"statistic {name!r} needs n >= {stat.min_n}, got n = {n}")
     return stat
-
-
-def _simulate(token: str, param: float, n: int, c: float,
-              rng: np.random.Generator, count: int) -> dict:
-    """Draw ``count`` replicates and reduce them to per-replicate arrays."""
-    # the correlation family's statistics are single-pair ones
-    per_replicate = 1 if token == "bivariate_gaussian_corr" else n
-    return FAMILIES[token](SAMPLERS[token](param, c, rng, (count, per_replicate)), n)
 
 
 def _chunk_sizes(total: int, chunks: int) -> list[int]:
@@ -248,9 +209,10 @@ def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names) -> tup
     """
     grid = list(grid)
     stats = {name: resolve_statistic(name, token, n) for name in names}
-    if token != "normal_unit":  # the fixture has no FamilyModel and takes any theta
-        for theta in grid:  # each kind checks whichever of theta / rho it uses
-            FamilyModel(kind=Kind(token), theta=theta, rho=theta, c=c)
+    family = FAMILIES[token]
+    for theta in grid:  # the same DomainError a FamilyModel raises
+        family.check(theta, c)
+    per_replicate = 1 if family.single_pair else n
     sizes = _chunk_sizes(config.replicates, N_CHUNKS)
     children = np.random.SeedSequence(config.master_seed).spawn(len(grid) * len(sizes))
     degenerate = 0
@@ -258,7 +220,7 @@ def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names) -> tup
     def one_chunk(gi_ci):
         gi, ci = gi_ci
         rng = np.random.default_rng(children[gi * len(sizes) + ci])
-        sim = _simulate(token, grid[gi], n, c, rng, sizes[ci])
+        sim = family.reduce(family.draw(grid[gi], c, rng, (sizes[ci], per_replicate)), n)
         bad = sim.get("degenerate")
         keep = ~bad if bad is not None and bad.any() else None
         vals = {}
@@ -537,8 +499,7 @@ def cond_moment_dependence(g_stat: str, token: str, theta: float,
     sim = per_point[0]
     w = sim[w_stat]
     g2 = sim[g_stat] ** 2
-    edges = np.quantile(w, np.linspace(0.0, 1.0, 11)[1:-1])
-    idx = np.searchsorted(edges, w, side="right")
+    idx = _quantile_bins(w, 10)
     fewest = int(np.bincount(idx, minlength=10).min())
     if fewest < 2:
         raise VerificationError(f"a decile bin of {w_stat} at theta={theta:g} holds "

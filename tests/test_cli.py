@@ -183,6 +183,8 @@ BAD_CONFIGS = [
      "bivariate_gaussian_corr: rho must lie in (-1, 1), got 1.5"),
     ("kind = first-order\nfamily = normal_cv\nc = 0.01\n",
      "positive_indicator at theta=0.5 is 0"),
+    ("kind = variance-table\nfamily = normal_unit\nestimators = sample_mean\ngrid = inf\n",
+     "normal_unit: theta must be finite"),
 ]
 
 
@@ -195,6 +197,33 @@ def test_bad_config_exits_one_with_error_line(tmp_path, capsys, text, message):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
     assert not list(out.glob("*"))
+
+
+def _out_is_file(tmp_path):
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    return out
+
+
+def _csv_is_directory(tmp_path):
+    # for selftest the second report's table fails, after the first pair is written
+    out = tmp_path / "out"
+    (out / "exp.table.csv").mkdir(parents=True)
+    (out / "selftest-natural-parameter.table.csv").mkdir()
+    return out
+
+
+@pytest.mark.parametrize("command", ["run", "selftest"])
+@pytest.mark.parametrize("make_out", [_out_is_file, _csv_is_directory])
+def test_unwritable_out_exits_one_and_leaves_no_report(tmp_path, capsys, command, make_out):
+    cfg = _write(tmp_path, "kind = constraints\n")
+    out = make_out(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    args = ["run", str(cfg)] if command == "run" else ["selftest"]
+    assert main(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write report")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 _NAMES = ("",) + tuple(verify.STATISTICS) + ("ancillary",)

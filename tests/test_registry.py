@@ -1,0 +1,26 @@
+"""Each ``families.FAMILIES`` row agrees with the engine and with ``FamilyModel``."""
+
+import math
+
+import numpy as np
+import pytest
+
+from nilelab.families import FAMILIES, DomainError, FamilyModel, Kind
+from nilelab.verify import STATISTICS, MCConfig, run_grid
+
+
+@pytest.mark.parametrize("token", list(FAMILIES))
+def test_family_row_agrees_with_engine_and_family_model(token):
+    family = FAMILIES[token]
+    if family.ancillary is not None:
+        assert token in STATISTICS[family.ancillary].families
+    reduced = family.reduce(family.draw(0.5, 1.0, np.random.default_rng(0), (3, 2)), 2)
+    assert set(family.sufficient) <= set(reduced)
+    stat = next(name for name, s in STATISTICS.items() if token in s.families)
+    config = MCConfig(master_seed=0, replicates=10, theta_grid=(math.inf,), n=2)
+    with pytest.raises(DomainError) as from_grid:
+        run_grid(token, (math.inf,), 2, 1.0, config, [stat])
+    if token in {k.value for k in Kind}:
+        with pytest.raises(DomainError) as from_model:
+            FamilyModel(kind=Kind(token), theta=math.inf, rho=math.inf)
+        assert str(from_model.value) == str(from_grid.value)
