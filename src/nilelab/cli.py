@@ -357,12 +357,13 @@ def cmd_list(_args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    reports = [selftest.quadrature_selftest(), selftest.constraint_selftest()]
-    if args.out is not None and not _write_all(
-            [(r, f"selftest-{r.claim.split()[0]}") for r in reports], Path(args.out)):
+    # each report is named after its experiment kind in EXPERIMENTS
+    reports = [(selftest.quadrature_selftest(), "quadrature-selftest"),
+               (selftest.constraint_selftest(), "constraints")]
+    if args.out is not None and not _write_all(reports, Path(args.out)):
         return EXIT_ERROR
     code = EXIT_PASS
-    for report in reports:
+    for report, _ in reports:
         for sub, verdict in report.verdicts.items():
             print(f"{sub}: {verdict}")
         code = max(code, _exit_code(report))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr  # standard normal CDF
-from scipy.stats import chi2_contingency, ks_2samp
+from scipy.stats import chi2_contingency
 
 from . import __version__ as VERSION
 from .estimators import h_star_vector, khan_coefficients, normalcv_mle_from_sums
@@ -32,8 +32,10 @@ from .quadrature import cond_second_moment_ratio
 #: Fixed replicate partition; must not depend on the worker count.
 N_CHUNKS = 64
 
-#: Asymptotic two-sample KS critical multiplier at roughly the 0.001 level;
-#: with equal sample sizes the threshold is KS_CRITICAL * sqrt(2/N).
+#: Two-sample KS critical multiplier, about the asymptotic 0.001 level
+#: (Kolmogorov's c(0.001) is 1.95); the ancillarity verdict compares the
+#: largest pairwise D with KS_CRITICAL * sqrt(2 / N) for the smallest sample
+#: size N, the equal-size formula.  No p-value is computed.
 KS_CRITICAL = 1.95
 
 
@@ -268,28 +270,58 @@ def _z(diff: float, se: float, quantity: str, theta: float) -> float:
     return diff / se
 
 
+def ks_2samp(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov distance D = sup |F_a - F_b| of two sorted samples.
+
+    F_a - F_b only rises at points of ``a``, so its supremum is taken there.
+    At ``a[i]`` the term (i + 1)/n1 - #{b <= a[i]}/n2 is at most
+    F_a(a[i]) - F_b(a[i]), with equality at the last copy of a tied value:
+    inside a run of ties F_b is constant while (i + 1)/n1 rises to F_a.  So
+    the largest term of each run is that step's k1/n1 - k2/n2, the same
+    float arithmetic as ``scipy.stats.ks_2samp``, and D equals its statistic
+    bit for bit, ties included; likewise for F_b - F_a at the points of
+    ``b``.  Both inputs must be sorted ascending; an empty one raises
+    ValueError.
+    """
+    n1, n2 = a.size, b.size
+    if n1 == 0 or n2 == 0:
+        raise ValueError("KS distance needs two non-empty samples")
+    d_ab = np.arange(1, n1 + 1) / n1 - np.searchsorted(b, a, side="right") / n2
+    d_ba = np.arange(1, n2 + 1) / n2 - np.searchsorted(a, b, side="right") / n1
+    return max(0.0, float(d_ab.max()), float(d_ba.max()))
+
+
 def verify_ancillarity(token: str, statistic: str, config: MCConfig,
                        c: float = 1.0) -> VerificationReport:
-    """Pass iff the statistic's sampling distribution is grid-invariant."""
+    """Pass iff the statistic's sampling distribution is grid-invariant.
+
+    Each grid point's sample is sorted once (after its mean and SE are
+    taken: ``np.mean`` sums pairwise, so the order changes the last bits) and
+    shared by every KS pair it belongs to.
+    """
     if len(config.theta_grid) < 2:
         raise ValueError("ancillarity check needs at least 2 grid points")
     per_point, degenerate = run_grid(token, config.theta_grid, config.n, c,
                                      config, [statistic])
     samples = [p[statistic] for p in per_point]
+    points = []
+    for t, s in zip(config.theta_grid, samples):
+        if s.size == 0:
+            raise VerificationError(f"every replicate at theta={t:g} is degenerate; "
+                                    f"there is no sample to compare")
+        m, se = _mean_se(s)
+        points.append(GridPointResult(param=t, estimates={statistic: m},
+                                      se={statistic: se}))
+        s.sort()
     nmin = min(s.size for s in samples)
     threshold = KS_CRITICAL * math.sqrt(2.0 / nmin)
     max_ks = 0.0
     pair_stats = {}
     for i in range(len(samples)):
         for j in range(i + 1, len(samples)):
-            d = float(ks_2samp(samples[i], samples[j], method="asymp").statistic)
+            d = ks_2samp(samples[i], samples[j])
             pair_stats[f"ks[{config.theta_grid[i]:g},{config.theta_grid[j]:g}]"] = d
             max_ks = max(max_ks, d)
-    points = []
-    for t, s in zip(config.theta_grid, samples):
-        m, se = _mean_se(s)
-        points.append(GridPointResult(param=t, estimates={statistic: m},
-                                      se={statistic: se}))
     verdicts = {"distribution-invariant": "pass" if max_ks < threshold else "fail"}
     if degenerate > 0:
         verdicts["no-degenerate-samples"] = "fail"

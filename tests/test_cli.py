@@ -84,6 +84,13 @@ class TestListAndSelftest:
         out = capsys.readouterr().out
         assert "pass" in out
 
+    def test_selftest_out_names_reports_after_kinds(self, tmp_path, capsys):
+        assert main(["selftest", "--out", str(tmp_path)]) == 0
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == [f"{kind}.{ext}" for kind in ("constraints", "quadrature-selftest")
+                         for ext in ("report.json", "table.csv")]
+        assert all(kind in EXPERIMENT_KINDS for kind in ("constraints", "quadrature-selftest"))
+
 
 def _write(tmp_path, text, name="exp.cfg"):
     p = tmp_path / name
@@ -209,7 +216,7 @@ def _csv_is_directory(tmp_path):
     # for selftest the second report's table fails, after the first pair is written
     out = tmp_path / "out"
     (out / "exp.table.csv").mkdir(parents=True)
-    (out / "selftest-natural-parameter.table.csv").mkdir()
+    (out / "constraints.table.csv").mkdir()
     return out
 
 

@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from scipy.special import ndtr
 
 from nilelab.families import (DomainError, bivariate_gaussian, nile, normal_cv,
                               sample, uniform_location)
 from nilelab.verify import (MCConfig, VerificationError, VerificationReport,
-                            GridPointResult, ZeroMeanSpec,
+                            GridPointResult, ZeroMeanSpec, _mean_se,
                             cond_moment_dependence, fisher_info, identity,
-                            rao_zero_cov, run_grid, variance_table,
+                            ks_2samp, rao_zero_cov, run_grid, variance_table,
                             verify_ancillarity, verify_first_order,
                             verify_independence, zero_mean_from_ancillary)
 
@@ -79,6 +80,73 @@ class TestAncillarity:
     def test_needs_two_grid_points(self):
         with pytest.raises(ValueError):
             verify_ancillarity("nile", "nile_product", _cfg(grid=(1.0,)))
+
+    def test_all_degenerate_grid_point_raises_verification_error(self):
+        # c * theta = 1e-20 rounds every observation to theta, so s = 0 everywhere
+        with pytest.raises(VerificationError, match="every replicate at theta=1 is degenerate"):
+            verify_ancillarity("normal_cv", "normal_cv_ratio",
+                               _cfg(replicates=100, grid=(1.0, 2.0), n=3), c=1e-20)
+
+
+def _scipy_ks(a, b):
+    return float(scipy.stats.ks_2samp(a, b, method="asymp").statistic)
+
+
+_RNG = np.random.default_rng(11)
+KS_CASES = {
+    "continuous-unequal": (_RNG.normal(size=37), _RNG.normal(0.3, 1.5, size=113)),
+    "continuous-unequal-large": (_RNG.exponential(size=3001), _RNG.exponential(size=1999)),
+    "ties-within-and-across": (_RNG.integers(0, 5, size=200).astype(float),
+                               _RNG.integers(1, 7, size=150).astype(float)),
+    "ties-0-1": ((_RNG.random(500) < 0.9).astype(float), (_RNG.random(301) < 0.8).astype(float)),
+    "identical": (np.arange(10.0), np.arange(10.0)),
+    "disjoint": (_RNG.random(40), 2.0 + _RNG.random(25)),
+    "disjoint-reversed": (2.0 + _RNG.random(25), _RNG.random(40)),
+    "size-1-equal": (np.array([0.5]), np.array([0.5])),
+    "size-1-apart": (np.array([0.5]), np.array([1.0])),
+    "size-1-vs-many": (np.array([0.0]), _RNG.normal(size=9)),
+}
+
+
+class TestKsDistance:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # scipy's p-value at size 1
+    @pytest.mark.parametrize("case", KS_CASES)
+    def test_equals_scipy_exactly(self, case):
+        a, b = KS_CASES[case]
+        d = ks_2samp(np.sort(a), np.sort(b))
+        assert isinstance(d, float)
+        assert d == _scipy_ks(a, b)
+
+    def test_identical_and_disjoint_extremes(self):
+        a, b = KS_CASES["identical"]
+        assert ks_2samp(a, b) == 0.0
+        for case in ("disjoint", "disjoint-reversed", "size-1-apart"):
+            a, b = KS_CASES[case]
+            assert ks_2samp(np.sort(a), np.sort(b)) == 1.0
+
+    @pytest.mark.parametrize("a,b", [(np.array([]), np.array([1.0])),
+                                     (np.array([1.0, 2.0]), np.array([]))])
+    def test_empty_sample_raises_value_error(self, a, b):
+        with pytest.raises(ValueError):
+            ks_2samp(a, b)
+
+
+@pytest.mark.parametrize("token,statistic,grid,n", [
+    ("nile", "nile_product", (0.5, 1.0, 4.0), 5),
+    ("uniform_location", "uniform_range", (-2.0, 0.0, 3.0), 4),
+    # a 0/1 statistic: P(xbar > 0) = Phi(sqrt(n)/c) whatever theta, with many ties
+    ("normal_cv", "positive_indicator", (0.5, 1.0, 2.0, 4.0), 3),
+])
+def test_ancillarity_report_equals_scipy_on_the_same_samples(token, statistic, grid, n):
+    cfg = _cfg(seed=3, replicates=3_000, grid=grid, n=n)
+    rep = verify_ancillarity(token, statistic, cfg)
+    samples = [p[statistic] for p in run_grid(token, grid, n, 1.0, cfg, [statistic])[0]]
+    expected = {f"ks[{grid[i]:g},{grid[j]:g}]": _scipy_ks(samples[i], samples[j])
+                for i in range(len(grid)) for j in range(i + 1, len(grid))}
+    assert {k: v for k, v in rep.statistics.items() if k.startswith("ks[")} == expected
+    assert rep.statistics["max_ks"] == max(expected.values())
+    for point, s in zip(rep.points, samples):
+        assert (point.estimates[statistic], point.se[statistic]) == _mean_se(s)
 
 
 class TestFirstOrder:
