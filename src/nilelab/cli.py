@@ -23,9 +23,11 @@ import json
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from . import selftest, verify
 from .families import FAMILIES, DomainError
+from .quadrature import QuadratureFailure
 
 EXIT_PASS = 0
 EXIT_ERROR = 1
@@ -46,9 +48,9 @@ class ExperimentConfig:
     stat_a: str = ""
     stat_b: str = ""
     estimator: str = ""
-    estimators: tuple = ()
+    estimators: tuple[str, ...] = ()
     transform: str = "log"
-    grid: tuple = ()
+    grid: tuple[float, ...] = ()
     theta: float = 1.0
     c: float = 1.0
     n: int = 5
@@ -73,11 +75,15 @@ class ExperimentConfig:
             raise ConfigError(f"field 'family': unknown family {self.family!r}")
 
 
-_INT_FIELDS = {"n", "replicates", "power", "seed", "workers"}
-_FLOAT_FIELDS = {"theta", "c"}
-_LIST_FLOAT_FIELDS = {"grid"}
-_LIST_STR_FIELDS = {"estimators"}
-_ALL_FIELDS = {f.name for f in fields(ExperimentConfig)}
+#: Config key -> the type its value is parsed to, from the annotations.
+_TYPES = get_type_hints(ExperimentConfig)
+
+
+def _parse(typ, val: str):
+    """``val`` as ``typ``; a ``tuple[T, ...]`` value is a comma-separated list."""
+    if get_origin(typ) is tuple:
+        return tuple(get_args(typ)[0](v.strip()) for v in val.split(",")) if val else ()
+    return typ(val)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -91,21 +97,12 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _ALL_FIELDS:
+        if key not in _TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            if key in _INT_FIELDS:
-                values[key] = int(val)
-            elif key in _FLOAT_FIELDS:
-                values[key] = float(val)
-            elif key in _LIST_FLOAT_FIELDS:
-                values[key] = tuple(float(v) for v in val.split(",")) if val else ()
-            elif key in _LIST_STR_FIELDS:
-                values[key] = tuple(v.strip() for v in val.split(",")) if val else ()
-            else:
-                values[key] = val
+            values[key] = _parse(_TYPES[key], val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: field {key!r}: {exc}") from None
     if "kind" not in values:
@@ -120,12 +117,7 @@ def format_config(cfg: ExperimentConfig) -> str:
     lines = []
     for f in fields(ExperimentConfig):
         v = getattr(cfg, f.name)
-        if f.name in _LIST_FLOAT_FIELDS:
-            v = ",".join(f"{x:.17g}" for x in v)
-        elif f.name in _LIST_STR_FIELDS:
-            v = ",".join(v)
-        elif f.name in _FLOAT_FIELDS:
-            v = f"{v:.17g}"
+        v = ",".join(map(_fmt, v)) if isinstance(v, tuple) else _fmt(v)
         lines.append(f"{f.name} = {v}")
     return "\n".join(lines) + "\n"
 
@@ -217,7 +209,7 @@ EXPERIMENTS = {
     "ancillarity": (
         "sampling distribution of the designated ancillary statistic "
         "is invariant across the parameter grid (pairwise KS test)",
-        "family = nile, grid = 0.5,1,2,4, n = 5, replicates = 200000", _ancillarity),
+        "family = nile, grid = 0.5,1,2,4, n = 5, replicates = 100000", _ancillarity),
     "first-order": (
         "mean of a first-order ancillary statistic is constant in the "
         "parameter (vs its closed-form normal-CDF value)",
@@ -226,19 +218,19 @@ EXPERIMENTS = {
     "independence": (
         "two statistics are independent at each grid point "
         "(chi-square on a decile contingency table)",
-        "family = normal_cv, stat_a = sample_mean, stat_b = sample_sd, n = 10", _independence),
+        "family = normal_cv, stat_a = sample_mean, stat_b = sample_sd, n = 5", _independence),
     "rao": (
         "a UMVUE must have zero covariance with every zero-mean statistic; "
         "estimates E(g^k U) for U built from the ancillary",
-        "family = nile, estimator = nile_mle, transform = log, grid = 0.5,1,2, n = 1", _rao),
+        "family = nile, estimator = nile_mle, transform = log, grid = 0.5,1,2, n = 5", _rao),
     "cond-moment": (
         "a UMVUE's conditional second moment given the ancillary must "
         "be constant; bins the ancillary and compares bin means",
-        "family = nile, estimator = nile_star, theta = 1, n = 1", _cond_moment),
+        "family = nile, estimator = nile_star, theta = 1, n = 5", _cond_moment),
     "fisher-info": (
         "variance of the score equals (2 + 1/c^2)/theta^2, exceeding "
         "the location-only information 1/(c^2 theta^2)",
-        "theta = 1, c = 1, replicates = 1000000",
+        "theta = 1, c = 1, replicates = 100000",
         lambda cfg: verify.fisher_info(cfg.theta, cfg.c, _mc_config(cfg, (cfg.theta,)))),
     "variance-table": (
         "Monte Carlo bias/variance/MSE comparison across estimators",
@@ -262,6 +254,8 @@ def run_experiment(cfg: ExperimentConfig) -> verify.VerificationReport:
         return EXPERIMENTS[cfg.kind][2](cfg)
     except DomainError as exc:  # a grid point or theta outside the family's domain
         raise ConfigError(str(exc)) from None
+    except QuadratureFailure as exc:  # an integral the adaptive quadrature cannot resolve
+        raise verify.VerificationError(str(exc)) from None
 
 
 def _fmt(value) -> str:
@@ -270,17 +264,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_report(report: verify.VerificationReport, out_dir: Path, name: str,
-                 timestamp: bool = True) -> list[Path]:
+def write_report(report: verify.VerificationReport, out_dir: Path, name: str) -> list[Path]:
     """Write ``<name>.report.json`` and ``<name>.table.csv`` (neither on OSError)."""
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / f"{name}.report.json"
     csv_path = out_dir / f"{name}.table.csv"
     header, rows = report.table_rows()
     buf = io.StringIO()
-    if timestamp:
-        now = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        buf.write(f"# generated: {now}\n")
+    now = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    buf.write(f"# generated: {now}\n")
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
@@ -357,9 +349,9 @@ def cmd_list(_args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    # each report is named after its experiment kind in EXPERIMENTS
-    reports = [(selftest.quadrature_selftest(), "quadrature-selftest"),
-               (selftest.constraint_selftest(), "constraints")]
+    # each report comes from, and is named after, its experiment kind
+    reports = [(run_experiment(ExperimentConfig(kind)), kind)
+               for kind in ("quadrature-selftest", "constraints")]
     if args.out is not None and not _write_all(reports, Path(args.out)):
         return EXIT_ERROR
     code = EXIT_PASS

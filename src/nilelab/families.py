@@ -70,14 +70,13 @@ class FamilyModel:
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """An i.i.d. sample tagged with its generating model and RNG provenance.
+    """An i.i.d. sample tagged with its generating model.
 
     ``points`` has shape (n, 2) for pair families and (n,) for scalar ones.
     """
 
     points: np.ndarray
     model: FamilyModel
-    seed_trace: str = ""
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -127,15 +126,14 @@ def density(model: FamilyModel, point) -> float:
     return 0.5 if abs(x - model.theta) <= 1.0 else 0.0
 
 
-def sample(model: FamilyModel, n: int, rng: np.random.Generator,
-           seed_trace: str = "") -> ObservationSet:
+def sample(model: FamilyModel, n: int, rng: np.random.Generator) -> ObservationSet:
     """Draw n i.i.d. observations with the family's exact sampler in ``FAMILIES``."""
     if n < 1:
         raise InputError(f"sample size must be >= 1, got {n}")
     family = FAMILIES[model.kind.value]
     draws = family.draw(model.param, model.c, rng, n)
     pts = np.column_stack(draws) if family.pairs else draws
-    return ObservationSet(points=pts, model=model, seed_trace=seed_trace)
+    return ObservationSet(points=pts, model=model)
 
 
 #: One row per family.  ``draw(theta, c, rng, size)``: i.i.d. observations of

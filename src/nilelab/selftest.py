@@ -17,6 +17,7 @@ from .verify import GridPointResult, VerificationReport
 QUADRATURE_REL_TOL = 1e-8
 RECURRENCE_REL_TOL = 1e-10
 CONSTRAINT_TOL = 1e-12
+CONSTRAINT_GRID_POINTS = 50
 
 #: Cross-validation sweep: order, sample size, ancillary value.
 SWEEP_ORDERS = range(-3, 4)
@@ -66,11 +67,11 @@ def quadrature_selftest() -> VerificationReport:
         verdicts=verdicts, seed=0)
 
 
-def _family_grid(kind: families.Kind, n_points: int = 50):
+def _family_grid(kind: families.Kind):
     if kind is families.Kind.BIVARIATE_GAUSSIAN_CORR:
         return [families.bivariate_gaussian(r)
-                for r in np.linspace(-0.9, 0.9, n_points)]
-    thetas = np.geomspace(0.1, 10.0, n_points)
+                for r in np.linspace(-0.9, 0.9, CONSTRAINT_GRID_POINTS)]
+    thetas = np.geomspace(0.1, 10.0, CONSTRAINT_GRID_POINTS)
     if kind is families.Kind.NILE:
         return [families.nile(t) for t in thetas]
     return [families.normal_cv(t, c=1.0) for t in thetas]
@@ -110,6 +111,6 @@ def constraint_selftest() -> VerificationReport:
     }
     return VerificationReport(
         claim="natural-parameter constraint polynomials vanish on the parameter curves",
-        config={"grid_points": 50}, grid=[], points=points,
+        config={"grid_points": CONSTRAINT_GRID_POINTS}, grid=[], points=points,
         statistics={"max_abs_residual": worst},
         verdicts=verdicts, seed=0)

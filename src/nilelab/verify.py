@@ -38,6 +38,9 @@ N_CHUNKS = 64
 #: size N, the equal-size formula.  No p-value is computed.
 KS_CRITICAL = 1.95
 
+#: Level of each grid point's chi-square independence test.
+INDEPENDENCE_ALPHA = 1e-3
+
 
 class VerificationError(RuntimeError):
     """A verification procedure could not produce a trustworthy verdict."""
@@ -84,7 +87,6 @@ class VerificationReport:
     verdicts: dict  # sub-claim -> pass | fail | inconclusive
     seed: int
     degenerate_count: int = 0
-    version: str = VERSION
 
     @property
     def verdict(self) -> str:
@@ -107,7 +109,7 @@ class VerificationReport:
             "verdict": self.verdict,
             "degenerate_count": self.degenerate_count,
             "seed": self.seed,
-            "version": self.version,
+            "version": VERSION,
         }
 
     def table_rows(self):
@@ -233,11 +235,11 @@ def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names) -> tup
         return vals, nbad
 
     tasks = [(gi, ci) for gi in range(len(grid)) for ci in range(len(sizes))]
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            chunk_results = list(pool.map(one_chunk, tasks))
-    else:
-        chunk_results = [one_chunk(t) for t in tasks]
+    pool = ThreadPoolExecutor(max_workers=config.workers)
+    try:
+        chunk_results = list(pool.map(one_chunk, tasks))
+    finally:  # a failed chunk cancels the chunks not yet started
+        pool.shutdown(cancel_futures=True)
 
     out = []
     for gi in range(len(grid)):
@@ -374,7 +376,7 @@ def _quantile_bins(arr: np.ndarray, k: int) -> np.ndarray:
 
 
 def verify_independence(stat_a: str, stat_b: str, token: str, config: MCConfig,
-                        c: float = 1.0, alpha: float = 1e-3) -> VerificationReport:
+                        c: float = 1.0) -> VerificationReport:
     """Pass iff no dependence between stat_a and stat_b is detected at any grid point.
 
     Each margin is split at its empirical deciles (fewer bins for small N,
@@ -403,11 +405,11 @@ def verify_independence(stat_a: str, stat_b: str, token: str, config: MCConfig,
             chi2, p = float(res.statistic), float(res.pvalue)
         min_p = min(min_p, p)
         points.append(GridPointResult(param=t, statistics={"chi2": chi2, "p_value": p}))
-    verdicts = {"independent": "pass" if min_p >= alpha else "fail"}
+    verdicts = {"independent": "pass" if min_p >= INDEPENDENCE_ALPHA else "fail"}
     return VerificationReport(
         claim=f"independence of {stat_a} and {stat_b} for {token}",
         config=config.as_dict(), grid=list(config.theta_grid), points=points,
-        statistics={"min_p_value": min_p, "alpha": alpha, "bins": k},
+        statistics={"min_p_value": min_p, "alpha": INDEPENDENCE_ALPHA, "bins": k},
         verdicts=verdicts, seed=config.master_seed, degenerate_count=degenerate)
 
 

@@ -1,11 +1,12 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilelab import verify
-from nilelab.cli import (EXPERIMENT_KINDS, ConfigError, ExperimentConfig,
+from nilelab.cli import (EXPERIMENT_KINDS, EXPERIMENTS, ConfigError, ExperimentConfig,
                          format_config, list_experiments, main, parse_config,
                          run_experiment)
 
@@ -258,3 +259,56 @@ def test_any_config_reports_or_raises_typed_error(**values):
     except (ConfigError, verify.VerificationError):
         return
     assert report.verdict in ("pass", "fail", "inconclusive")
+
+
+def test_quadrature_failure_exits_one_with_error_line(tmp_path, capsys):
+    # the h* table build at n = 1e6 meets an integral that quad returns as 0; not a
+    # BAD_CONFIGS case, whose replicates = 2000 would draw ~500 MB per chunk at this n
+    cfg = _write(tmp_path, "kind = cond-moment\nn = 1000000\nreplicates = 2\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: quadrature of I(")
+    assert not list(out.glob("*"))
+
+
+#: The verify entry points the Monte Carlo runners call.
+_ENTRY_POINTS = ("verify_ancillarity", "verify_first_order", "verify_independence",
+                 "zero_mean_from_ancillary", "rao_zero_cov", "cond_moment_dependence",
+                 "fisher_info", "variance_table")
+_MC_KINDS = [kind for kind, (_, default, _) in EXPERIMENTS.items()
+             if default != "no configuration"]
+
+
+@pytest.mark.parametrize("kind", _MC_KINDS)
+def test_listed_default_is_what_runs(monkeypatch, kind):
+    calls = []
+    for name in _ENTRY_POINTS:
+        monkeypatch.setattr(verify, name,
+                            lambda *args, _name=name, **kw: calls.append((_name, args, kw)))
+    run_experiment(parse_config(f"kind = {kind}\n"))
+    alone = calls[:]
+    calls.clear()
+    listed = re.split(r",\s*(?=\w+ = )", EXPERIMENTS[kind][1])
+    run_experiment(parse_config(f"kind = {kind}\n" + "".join(f"{kv}\n" for kv in listed)))
+    assert alone and calls == alone
+
+
+#: Text a config value may hold: no comment, separator or line break, no edge blanks.
+_TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"),
+                              blacklist_characters="#=,"),
+                max_size=8).filter(lambda s: s == s.strip())
+_FLOATS = st.floats(allow_nan=False) | st.sampled_from((-2.5, -1e-300, 1e-300, 1e300, -1e300))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.builds(
+    ExperimentConfig, kind=st.sampled_from(EXPERIMENT_KINDS), name=_TEXT,
+    family=st.sampled_from(("",) + verify.FAMILY_TOKENS), statistic=_TEXT, stat_a=_TEXT,
+    stat_b=_TEXT, estimator=_TEXT,
+    estimators=st.lists(_TEXT.filter(bool), max_size=3).map(tuple), transform=_TEXT,
+    grid=st.lists(_FLOATS, max_size=4).map(tuple), theta=_FLOATS, c=_FLOATS,
+    n=st.integers(1, 10 ** 9), replicates=st.integers(1, 10 ** 12), power=st.integers(1, 6),
+    seed=st.integers(-2 ** 63, 2 ** 64), workers=st.integers(1, 64), out=_TEXT))
+def test_format_parse_round_trip_every_field_type(cfg):
+    assert parse_config(format_config(cfg)) == cfg

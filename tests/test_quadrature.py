@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nilelab.quadrature import (LaplaceIntegralSpec, NearSingularWarning,
-                                bessel_k, cond_moment, cond_moment_bessel,
+                                QuadratureFailure, bessel_k, cond_moment, cond_moment_bessel,
                                 cond_second_moment_ratio, laplace_integral,
                                 laplace_integral_bessel)
 
@@ -108,6 +108,11 @@ class TestCondMoment:
         # shared exponential decay cancels in the ratio
         v = cond_moment(1, 1e6, 10)
         assert v == pytest.approx(1e3, rel=1e-3)
+
+    def test_unresolved_integral_raises(self):
+        # at n = 1e6 quad returns 0 (error estimate 0) for a positive integral
+        with pytest.raises(QuadratureFailure, match="gave 0"):
+            cond_moment(1, 1e6, 10 ** 6)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
