@@ -2,7 +2,8 @@
 
 Each of the three exponential families here is "curved": its natural
 parameter vector eta = (eta1, eta2) is confined to an algebraic curve.
-The constraint polynomials are
+The map to eta and the constraint polynomial are the ``natural`` and
+``constraint`` of the family's ``families.FAMILIES`` row:
 
     Nile                  eta1 * eta2 - 1 = 0
     BivariateGaussianCorr 2*eta1 - eta2^2 + 4*eta1^2 = 0
@@ -13,7 +14,7 @@ eta1 = 1/(c^2 theta), eta2 = -1/(2 c^2 theta^2).  The equivalent
 convention with swapped coordinates satisfies eta1 + (c^2/2) eta2^2 = 0;
 the two constraints describe the same curve.
 
-UniformLocation is not an exponential family and is rejected.
+UniformLocation is not an exponential family (no ``natural``) and is rejected.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .families import FamilyModel, InputError, Kind
+from .families import FAMILIES, FamilyModel, InputError, Kind
 
 
 class NotExponentialError(ValueError):
@@ -35,6 +36,13 @@ class NaturalParams:
     residual: float
 
 
+def _curved(kind: Kind):
+    family = FAMILIES[kind.value]
+    if family.natural is None:
+        raise NotExponentialError(f"{kind.value} is not an exponential family")
+    return family
+
+
 def constraint_residual(kind: Kind, eta, c: float | None = None) -> float:
     """Constraint polynomial evaluated at eta; 0 on the parameter curve.
 
@@ -44,30 +52,11 @@ def constraint_residual(kind: Kind, eta, c: float | None = None) -> float:
     e1, e2 = float(eta[0]), float(eta[1])
     if not (math.isfinite(e1) and math.isfinite(e2)):
         raise InputError("eta must be finite")
-    if kind is Kind.NILE:
-        return math.fsum([e1 * e2, -1.0])
-    if kind is Kind.BIVARIATE_GAUSSIAN_CORR:
-        return math.fsum([2.0 * e1, -e2 * e2, 4.0 * e1 * e1])
-    if kind is Kind.NORMAL_CV:
-        if c is None:
-            raise InputError("NormalCV constraint needs the known constant c")
-        return math.fsum([e1 * e1, (2.0 / (c * c)) * e2])
-    raise NotExponentialError(f"{kind.value} is not an exponential family")
+    return _curved(kind).constraint(e1, e2, c)
 
 
 def natural_params(model: FamilyModel) -> NaturalParams:
     """Map a model's parameter to its natural parameters, with residual attached."""
-    kind = model.kind
-    if kind is Kind.NILE:
-        eta = (-model.theta, -1.0 / model.theta)
-    elif kind is Kind.BIVARIATE_GAUSSIAN_CORR:
-        rho = model.rho
-        one_m = 1.0 - rho * rho
-        eta = (-1.0 / (2.0 * one_m), rho / one_m)
-    elif kind is Kind.NORMAL_CV:
-        c2 = model.c * model.c
-        eta = (1.0 / (c2 * model.theta), -1.0 / (2.0 * c2 * model.theta ** 2))
-    else:
-        raise NotExponentialError(f"{kind.value} is not an exponential family")
-    c = model.c if kind is Kind.NORMAL_CV else None
-    return NaturalParams(kind=kind, eta=eta, residual=constraint_residual(kind, eta, c))
+    eta = _curved(model.kind).natural(model.param, model.c)
+    return NaturalParams(kind=model.kind, eta=eta,
+                         residual=constraint_residual(model.kind, eta, model.c))

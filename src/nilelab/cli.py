@@ -148,10 +148,9 @@ def _ancillarity(cfg):
 
 def _first_order(cfg):
     family = cfg.family or "bivariate_gaussian_corr"
-    corr = family == "bivariate_gaussian_corr"
-    stat = _statistic("statistic", cfg.statistic or
-                      ("first_order_h" if corr else "positive_indicator"), family, 1)
-    grid = cfg.grid or ((-0.9, 0.0, 0.9) if corr else (0.5, 1.0, 2.0))
+    stat = _statistic("statistic", cfg.statistic or next(  # first with a known mean
+        k for k, s in verify.STATISTICS.items() if s.target and family in s.families), family, 1)
+    grid = cfg.grid or FAMILIES[family].first_order_grid
     return verify.verify_first_order(family, stat, _mc_config(cfg, grid, n=1), c=cfg.c)
 
 
@@ -165,15 +164,13 @@ def _independence(cfg):
 
 def _rao(cfg):
     family = cfg.family or "nile"
-    if family == "normal_unit":
-        _statistic("n", "diff12", family, cfg.n)
-    else:
-        _statistic("family", "ancillary", family, cfg.n)
-        if cfg.transform not in verify.TRANSFORMS:
-            raise ConfigError(f"field 'transform': unknown transform {cfg.transform!r}")
+    contrast = FAMILIES[family].contrast  # exact zero mean: no calibration or transform
+    _statistic("n" if contrast else "family", contrast or "ancillary", family, cfg.n)
+    if not contrast and cfg.transform not in verify.TRANSFORMS:
+        raise ConfigError(f"field 'transform': unknown transform {cfg.transform!r}")
     estimator = _statistic("estimator", cfg.estimator or "nile_mle", family, cfg.n)
-    if family == "normal_unit":
-        u = verify.ZeroMeanSpec(id="first-contrast", source="diff12",
+    if contrast:
+        u = verify.ZeroMeanSpec(id="first-contrast", source=contrast,
                                 transform=verify.identity, center=0.0, center_se=0.0)
     else:
         transform = verify.TRANSFORMS[cfg.transform](family, cfg.n, cfg.c, cfg.seed + 2)
@@ -188,8 +185,8 @@ def _rao(cfg):
 def _cond_moment(cfg):
     family = cfg.family or "nile"
     estimator = _statistic("estimator", cfg.estimator or "nile_star", family, cfg.n)
-    w_stat = _statistic("statistic", cfg.statistic or
-                        ("diff12" if family == "normal_unit" else "ancillary"), family, cfg.n)
+    w_stat = _statistic("statistic", cfg.statistic or FAMILIES[family].contrast or "ancillary",
+                        family, cfg.n)
     # the quadrature prediction is for the unbiased estimator given W itself
     overlay = estimator == "nile_star" and w_stat in ("ancillary", "nile_product")
     return verify.cond_moment_dependence(

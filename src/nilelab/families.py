@@ -1,4 +1,4 @@
-"""Population models: densities, parameter domains, and exact samplers.
+"""Population models: every fact of a family is in its one ``FAMILIES`` row.
 
 Four families share the same incomplete-minimal-sufficient-statistic
 structure studied by the rest of the package:
@@ -49,9 +49,8 @@ class InsufficientSampleError(ValueError):
 class FamilyModel:
     """A fully specified population.
 
-    ``theta`` is the scalar parameter for Nile / NormalCV / UniformLocation;
-    ``rho`` is used instead for BivariateGaussianCorr.  ``c`` is the known
-    coefficient-of-variation constant of NormalCV (default 1.0).
+    ``theta``, or ``rho`` where the row's ``param`` says so, is the scalar
+    parameter.  ``c`` is the known coefficient of variation of NormalCV (default 1.0).
     """
 
     kind: Kind
@@ -64,8 +63,8 @@ class FamilyModel:
 
     @property
     def param(self) -> float:
-        """The family's scalar parameter: rho for BivariateGaussianCorr, else theta."""
-        return self.rho if self.kind is Kind.BIVARIATE_GAUSSIAN_CORR else self.theta
+        """The family's scalar parameter: the field its row's ``param`` names."""
+        return getattr(self, FAMILIES[self.kind.value].param)
 
 
 @dataclass(frozen=True)
@@ -83,15 +82,15 @@ class ObservationSet:
         object.__setattr__(self, "points", pts)
         if pts.shape[0] < 1:
             raise InputError("observation set must be nonempty")
-        if FAMILIES[self.model.kind.value].pairs:
+        family = FAMILIES[self.model.kind.value]
+        if family.pairs:
             if pts.ndim != 2 or pts.shape[1] != 2:
                 raise InputError("pair family requires points of shape (n, 2)")
         elif pts.ndim != 1:
             raise InputError("scalar family requires points of shape (n,)")
         if not np.all(np.isfinite(pts)):
             raise InputError("non-finite observation")
-        if self.model.kind is Kind.NILE and not np.all(pts > 0):
-            raise InputError("Nile observations must have both coordinates > 0")
+        family.check_points(pts)
 
     @property
     def n(self) -> int:
@@ -99,31 +98,15 @@ class ObservationSet:
 
 
 def density(model: FamilyModel, point) -> float:
-    """Density of one observation; 0 outside the support.
+    """Density of one observation (the row's ``density``); 0 outside the support.
 
-    ``point`` is an (x, y) pair for Nile / BivariateGaussianCorr and a
-    scalar otherwise.
+    ``point`` is an (x, y) pair for a ``pairs`` family and a scalar otherwise.
     """
-    if FAMILIES[model.kind.value].pairs:
-        x, y = float(point[0]), float(point[1])
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise InputError("non-finite point")
-        if model.kind is Kind.NILE:
-            if x <= 0 or y <= 0:
-                return 0.0
-            return math.exp(-(x * model.theta + y / model.theta))
-        rho = model.rho
-        q = (x * x + y * y - 2.0 * rho * x * y) / (2.0 * (1.0 - rho * rho))
-        return math.exp(-q) / (2.0 * math.pi * math.sqrt(1.0 - rho * rho))
-    x = float(point)
-    if not math.isfinite(x):
+    family = FAMILIES[model.kind.value]
+    xs = (float(point[0]), float(point[1])) if family.pairs else (float(point),)
+    if not all(map(math.isfinite, xs)):
         raise InputError("non-finite point")
-    if model.kind is Kind.NORMAL_CV:
-        s = model.c * model.theta
-        z = (x - model.theta) / s
-        return math.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * s)
-    # uniform on [theta - 1, theta + 1]
-    return 0.5 if abs(x - model.theta) <= 1.0 else 0.0
+    return family.density(*xs, model.param, model.c)
 
 
 def sample(model: FamilyModel, n: int, rng: np.random.Generator) -> ObservationSet:
@@ -143,15 +126,31 @@ def sample(model: FamilyModel, n: int, rng: np.random.Generator) -> ObservationS
 #: replicates to drop.  ``check(theta, c)``: DomainError off the domain.
 #: ``sufficient``: the reduced arrays of the minimal sufficient statistic.
 #: ``ancillary``: the ``verify.STATISTICS`` entry the alias "ancillary" means,
-#: or None.  ``single_pair``: one pair per engine replicate.
-Family = namedtuple("Family", "draw reduce check sufficient ancillary pairs single_pair",
-                    defaults=(False, False))
+#: or None.  ``density(x[, y], theta, c)`` of one finite observation.
+#: ``natural(theta, c)`` -> (eta1, eta2) and ``constraint(eta1, eta2, c)``, 0 on
+#: their curve: None unless exponential; ``curve_grid(k)``: the selftest's grid.
+#: ``param``: the ``FamilyModel`` field of the parameter.  ``check_points`` and
+#: ``check_summary``: InputError for impossible observations and sufficient values.
+#: ``first_order_grid`` and ``contrast`` (an exact zero-mean statistic, or None):
+#: CLI defaults.  ``single_pair``: one pair per engine replicate.
+Family = namedtuple(
+    "Family", "draw reduce check sufficient ancillary density natural constraint curve_grid "
+    "param check_points check_summary first_order_grid contrast pairs single_pair",
+    defaults=(None, None, lambda k: np.geomspace(0.1, 10.0, k), "theta", lambda values: None,
+              lambda values: None, (0.5, 1.0, 2.0), None, False, False))
 
 
 def _domain(token, rule, inside, name="theta"):
     def check(param, c):
         if not (math.isfinite(param) and inside(param)):
             raise DomainError(f"{token}: {name} must {rule}, got {param}")
+    return check
+
+
+def _reject(bad, message):
+    def check(values):
+        if bad(values):
+            raise InputError(message)
     return check
 
 
@@ -167,6 +166,17 @@ def _check_normal_cv(theta, c):
 def _draw_bivariate_gaussian(rho, c, rng, size):
     z1 = rng.standard_normal(size)
     return z1, rho * z1 + math.sqrt(1.0 - rho * rho) * rng.standard_normal(size)
+
+
+def _density_normal(x, mean, sd):
+    z = (x - mean) / sd
+    return math.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * sd)
+
+
+def _constraint_normal_cv(e1, e2, c):
+    if c is None:
+        raise InputError("NormalCV constraint needs the known constant c")
+    return math.fsum([e1 * e1, (2.0 / (c * c)) * e2])
 
 
 def _reduce_scalar(x, n):
@@ -192,24 +202,47 @@ FAMILIES = {
         lambda theta, c, rng, size: (rng.exponential(1.0 / theta, size),
                                      rng.exponential(theta, size)),
         lambda d, n: {"xbar": d[0].mean(axis=1), "ybar": d[1].mean(axis=1)},
-        _domain("nile", *_POSITIVE), ("xbar", "ybar"), "nile_product", pairs=True),
+        _domain("nile", *_POSITIVE), ("xbar", "ybar"), "nile_product",
+        density=lambda x, y, theta, c: (math.exp(-(x * theta + y / theta))
+                                        if x > 0 and y > 0 else 0.0),
+        natural=lambda theta, c: (-theta, -1.0 / theta),
+        constraint=lambda e1, e2, c: math.fsum([e1 * e2, -1.0]),
+        check_points=_reject(lambda pts: not np.all(pts > 0),
+                             "Nile observations must have both coordinates > 0"),
+        check_summary=_reject(lambda s: not (s[0] > 0 and s[1] > 0),
+                              "Nile sufficient components must be positive"),
+        pairs=True),
     "bivariate_gaussian_corr": Family(
         _draw_bivariate_gaussian,
         lambda d, n: {"x": d[0][:, 0], "y": d[1][:, 0],
                       "sum_sq": np.sum(d[0] * d[0] + d[1] * d[1], axis=1),
                       "sum_xy": np.sum(d[0] * d[1], axis=1)},
         _domain("bivariate_gaussian_corr", "lie in (-1, 1)", lambda r: -1.0 < r < 1.0, "rho"),
-        ("sum_sq", "sum_xy"), None, pairs=True, single_pair=True),
+        ("sum_sq", "sum_xy"), None,
+        density=lambda x, y, rho, c: (math.exp(-(x * x + y * y - 2.0 * rho * x * y)
+                                               / (2.0 * (1.0 - rho * rho)))
+                                      / (2.0 * math.pi * math.sqrt(1.0 - rho * rho))),
+        natural=lambda rho, c: (-1.0 / (2.0 * (1.0 - rho * rho)), rho / (1.0 - rho * rho)),
+        constraint=lambda e1, e2, c: math.fsum([2.0 * e1, -e2 * e2, 4.0 * e1 * e1]),
+        curve_grid=lambda k: np.linspace(-0.9, 0.9, k), param="rho",
+        first_order_grid=(-0.9, 0.0, 0.9), pairs=True, single_pair=True),
     "normal_cv": Family(
         lambda theta, c, rng, size: theta + c * theta * rng.standard_normal(size),
-        _reduce_normal_cv, _check_normal_cv, ("xbar", "s"), "normal_cv_ratio"),
+        _reduce_normal_cv, _check_normal_cv, ("xbar", "s"), "normal_cv_ratio",
+        density=lambda x, theta, c: _density_normal(x, theta, c * theta),
+        natural=lambda theta, c: (1.0 / (c * c * theta), -1.0 / (2.0 * (c * c) * theta ** 2)),
+        constraint=_constraint_normal_cv,
+        check_summary=_reject(lambda s: s[1] < 0, "NormalCV s must be >= 0")),
     "uniform_location": Family(
         lambda theta, c, rng, size: rng.uniform(theta - 1.0, theta + 1.0, size),
         lambda x, n: {**_reduce_scalar(x, n), "lo": x.min(axis=1), "hi": x.max(axis=1)},
-        _domain("uniform_location", *_FINITE), ("lo", "hi"), "uniform_range"),
+        _domain("uniform_location", *_FINITE), ("lo", "hi"), "uniform_range",
+        density=lambda x, theta, c: 0.5 if abs(x - theta) <= 1.0 else 0.0,
+        check_summary=_reject(lambda s: s[0] > s[1], "UniformLocation requires min <= max")),
     "normal_unit": Family(
         lambda theta, c, rng, size: theta + rng.standard_normal(size),
-        _reduce_scalar, _domain("normal_unit", *_FINITE), ("xbar",), None),
+        _reduce_scalar, _domain("normal_unit", *_FINITE), ("xbar",), None,
+        density=lambda x, theta, c: _density_normal(x, theta, 1.0), contrast="diff12"),
 }
 
 

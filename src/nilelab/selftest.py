@@ -2,14 +2,16 @@
 
 Two suites that need no Monte Carlo: agreement of the two independent
 Laplace-integral evaluation paths, and the polynomial constraint
-residuals of the three curved exponential families.
+residuals of the curved exponential families: every ``families.FAMILIES``
+row with a ``natural`` map, swept over its ``curve_grid``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import canonical, families
+from . import canonical
+from .families import FAMILIES, FamilyModel, Kind
 from .quadrature import (LaplaceIntegralSpec, bessel_k, laplace_integral,
                          laplace_integral_bessel)
 from .verify import GridPointResult, VerificationReport
@@ -67,16 +69,6 @@ def quadrature_selftest() -> VerificationReport:
         verdicts=verdicts, seed=0)
 
 
-def _family_grid(kind: families.Kind):
-    if kind is families.Kind.BIVARIATE_GAUSSIAN_CORR:
-        return [families.bivariate_gaussian(r)
-                for r in np.linspace(-0.9, 0.9, CONSTRAINT_GRID_POINTS)]
-    thetas = np.geomspace(0.1, 10.0, CONSTRAINT_GRID_POINTS)
-    if kind is families.Kind.NILE:
-        return [families.nile(t) for t in thetas]
-    return [families.normal_cv(t, c=1.0) for t in thetas]
-
-
 def constraint_selftest() -> VerificationReport:
     """Natural-parameter constraint residuals vanish along each parameter curve.
 
@@ -86,17 +78,18 @@ def constraint_selftest() -> VerificationReport:
     points = []
     worst = 0.0
     monotone_ok = True
-    for kind in (families.Kind.NILE, families.Kind.BIVARIATE_GAUSSIAN_CORR,
-                 families.Kind.NORMAL_CV):
+    for token, family in FAMILIES.items():
+        if family.natural is None:
+            continue
         etas = []
-        for model in _family_grid(kind):
-            np_ = canonical.natural_params(model)
+        for param in family.curve_grid(CONSTRAINT_GRID_POINTS):
+            np_ = canonical.natural_params(FamilyModel(Kind(token), **{family.param: param}))
             etas.append(np_.eta)
             worst = max(worst, abs(np_.residual))
             points.append(GridPointResult(
-                param=float(model.param),
+                param=float(param),
                 estimates={"eta1": np_.eta[0], "eta2": np_.eta[1]},
-                statistics={"family": kind.value, "residual": np_.residual}))
+                statistics={"family": token, "residual": np_.residual}))
         e = np.asarray(etas)
         d1, d2 = np.diff(e[:, 0]), np.diff(e[:, 1])
         # strict monotonicity of one coordinate suffices for injectivity

@@ -36,13 +36,11 @@ class SufficientSummary:
     n: int
 
     def __post_init__(self):
-        c = self.components
-        if self.kind is Kind.NILE and not (c[0] > 0 and c[1] > 0):
-            raise InputError("Nile sufficient components must be positive")
-        if self.kind is Kind.NORMAL_CV and c[1] < 0:
-            raise InputError("NormalCV s must be >= 0")
-        if self.kind is Kind.UNIFORM_LOCATION and c[0] > c[1]:
-            raise InputError("UniformLocation requires min <= max")
+        family = FAMILIES[self.kind.value]
+        if len(self.components) != len(family.sufficient):
+            raise InputError(f"{self.kind.value}: expected components {family.sufficient}, "
+                             f"got {len(self.components)} values")
+        family.check_summary(self.components)
 
 
 @dataclass(frozen=True)

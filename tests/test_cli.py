@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -312,3 +313,81 @@ _FLOATS = st.floats(allow_nan=False) | st.sampled_from((-2.5, -1e-300, 1e-300, 1
     seed=st.integers(-2 ** 63, 2 ** 64), workers=st.integers(1, 64), out=_TEXT))
 def test_format_parse_round_trip_every_field_type(cfg):
     assert parse_config(format_config(cfg)) == cfg
+
+
+def _mc(grid, n=5):
+    return verify.MCConfig(0, 100_000, grid, n, 1)
+
+
+def _anc_calibration(family):
+    return ("zero_mean_from_ancillary", ("log-of-ancillary", "ancillary", np.log, family),
+            {"n": 5, "seed": 1, "c": 1.0})
+
+
+_CONTRAST = verify.ZeroMeanSpec(id="first-contrast", source="diff12",
+                                transform=verify.identity, center=0.0, center_se=0.0)
+
+#: (kind, family, extra config) -> the verify calls today's per-family defaults
+#: make, or the field named by the ConfigError.  An estimator is set where the
+#: kind's default estimator is not defined for the family.
+_FAMILY_DEFAULTS = {
+    ("first-order", "nile", ""): [
+        ("verify_first_order", ("nile", "positive_indicator", _mc((0.5, 1, 2), 1)), {"c": 1.0})],
+    ("first-order", "bivariate_gaussian_corr", ""): [
+        ("verify_first_order", ("bivariate_gaussian_corr", "first_order_h",
+                                _mc((-0.9, 0, 0.9), 1)), {"c": 1.0})],
+    ("first-order", "normal_cv", ""): [
+        ("verify_first_order", ("normal_cv", "positive_indicator", _mc((0.5, 1, 2), 1)),
+         {"c": 1.0})],
+    ("first-order", "uniform_location", ""): [
+        ("verify_first_order", ("uniform_location", "positive_indicator",
+                                _mc((0.5, 1, 2), 1)), {"c": 1.0})],
+    ("first-order", "normal_unit", ""): [
+        ("verify_first_order", ("normal_unit", "positive_indicator", _mc((0.5, 1, 2), 1)),
+         {"c": 1.0})],
+    ("rao", "nile", ""): [
+        _anc_calibration("nile"),
+        ("rao_zero_cov", ("nile_mle", None, "nile", _mc((0.5, 1, 2))), {"power": 1, "c": 1.0})],
+    ("rao", "bivariate_gaussian_corr", "estimator = xy_product"): "field 'family'",
+    ("rao", "normal_cv", "estimator = normalcv_mle"): [
+        _anc_calibration("normal_cv"),
+        ("rao_zero_cov", ("normalcv_mle", None, "normal_cv", _mc((0.5, 1, 2))),
+         {"power": 1, "c": 1.0})],
+    ("rao", "uniform_location", "estimator = pitman_midrange"): [
+        _anc_calibration("uniform_location"),
+        ("rao_zero_cov", ("pitman_midrange", None, "uniform_location", _mc((0.5, 1, 2))),
+         {"power": 1, "c": 1.0})],
+    ("rao", "normal_unit", "estimator = sample_mean"): [
+        ("rao_zero_cov", ("sample_mean", _CONTRAST, "normal_unit", _mc((0.5, 1, 2))),
+         {"power": 1, "c": 1.0})],
+    ("cond-moment", "nile", ""): [
+        ("cond_moment_dependence", ("nile_star", "nile", 1.0, _mc((1.0,))),
+         {"w_stat": "ancillary", "c": 1.0, "overlay": True})],
+    ("cond-moment", "bivariate_gaussian_corr", "estimator = xy_product"): "field 'statistic'",
+    ("cond-moment", "normal_cv", "estimator = khan_linear"): [
+        ("cond_moment_dependence", ("khan_linear", "normal_cv", 1.0, _mc((1.0,))),
+         {"w_stat": "ancillary", "c": 1.0, "overlay": False})],
+    ("cond-moment", "uniform_location", "estimator = pitman_midrange"): [
+        ("cond_moment_dependence", ("pitman_midrange", "uniform_location", 1.0, _mc((1.0,))),
+         {"w_stat": "ancillary", "c": 1.0, "overlay": False})],
+    ("cond-moment", "normal_unit", "estimator = sample_mean"): [
+        ("cond_moment_dependence", ("sample_mean", "normal_unit", 1.0, _mc((1.0,))),
+         {"w_stat": "diff12", "c": 1.0, "overlay": False})],
+}
+
+
+@pytest.mark.parametrize("kind,family,extra", list(_FAMILY_DEFAULTS))
+def test_per_family_defaults(monkeypatch, kind, family, extra):
+    calls = []
+    for name in _ENTRY_POINTS:
+        monkeypatch.setattr(verify, name,
+                            lambda *args, _name=name, **kw: calls.append((_name, args, kw)))
+    cfg = parse_config(f"kind = {kind}\nfamily = {family}\n{extra}\n")
+    expected = _FAMILY_DEFAULTS[kind, family, extra]
+    if isinstance(expected, str):
+        with pytest.raises(ConfigError, match=expected):
+            run_experiment(cfg)
+        assert not calls
+    else:
+        run_experiment(cfg)
+        assert calls == expected

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from nilelab.families import FAMILIES, DomainError, FamilyModel, Kind
+from nilelab.canonical import NotExponentialError, natural_params
+from nilelab.families import FAMILIES, DomainError, FamilyModel, Kind, density, sample
+from nilelab.selftest import CONSTRAINT_GRID_POINTS, CONSTRAINT_TOL
+from nilelab.statistics import sufficient
 from nilelab.verify import STATISTICS, MCConfig, run_grid
 
 
@@ -24,3 +27,18 @@ def test_family_row_agrees_with_engine_and_family_model(token):
         with pytest.raises(DomainError) as from_model:
             FamilyModel(kind=Kind(token), theta=math.inf, rho=math.inf)
         assert str(from_model.value) == str(from_grid.value)
+        model = FamilyModel(kind=Kind(token), **{family.param: 0.5})
+        obs = sample(model, 3, np.random.default_rng(1))
+        assert 0.0 < density(model, obs.points[0]) < math.inf
+        sufficient(obs)  # SufficientSummary accepts what the reducer gives
+        models = [FamilyModel(kind=Kind(token), **{family.param: param})
+                  for param in family.curve_grid(CONSTRAINT_GRID_POINTS)]
+        if family.natural is None:
+            with pytest.raises(NotExponentialError):
+                natural_params(models[0])
+        else:
+            assert max(abs(natural_params(m).residual) for m in models) < CONSTRAINT_TOL
+    else:
+        draws = family.draw(0.5, 1.0, np.random.default_rng(1), 1)
+        xs = [float(d[0]) for d in draws] if family.pairs else [float(draws[0])]
+        assert 0.0 < family.density(*xs, 0.5, 1.0) < math.inf

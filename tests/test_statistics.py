@@ -46,6 +46,13 @@ class TestSufficient:
         with pytest.raises(InputError):
             SufficientSummary(Kind.UNIFORM_LOCATION, (2.0, 1.0), 3)
 
+    @pytest.mark.parametrize("kind,components", [
+        (Kind.NILE, (1.0,)), (Kind.NILE, (1.0, 2.0, 3.0)),
+        (Kind.NORMAL_CV, (1.0,)), (Kind.UNIFORM_LOCATION, (-1.0, 0.0, 1.0))])
+    def test_summary_needs_one_component_per_name(self, kind, components):
+        with pytest.raises(InputError, match="expected components"):
+            SufficientSummary(kind, components, 3)
+
 
 class TestAncillary:
     def test_nile_product(self):
