@@ -21,6 +21,7 @@ import datetime
 import io
 import json
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -87,8 +88,8 @@ def _parse(typ, val: str):
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse the flat ``key = value`` format; reject unknown keys."""
-    values = {}
+    """Parse the flat ``key = value`` format; reject unknown keys and keys the kind never reads."""
+    values, linenos = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -105,17 +106,25 @@ def parse_config(text: str) -> ExperimentConfig:
             values[key] = _parse(_TYPES[key], val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: field {key!r}: {exc}") from None
+        linenos[key] = lineno
     if "kind" not in values:
         raise ConfigError("missing required key 'kind'")
     cfg = ExperimentConfig(**values)
     cfg.validate()
+    unread = [key for key in values if key not in EXPERIMENTS[cfg.kind].keys]
+    if unread:
+        raise ConfigError(f"line {linenos[unread[0]]}: field {unread[0]!r}: "
+                          f"kind {cfg.kind!r} does not read it")
     return cfg
 
 
 def format_config(cfg: ExperimentConfig) -> str:
-    """Inverse of ``parse_config``; parse(format(cfg)) == cfg."""
+    """Inverse of ``parse_config``: the keys the kind reads; parse(format(cfg)) == cfg
+    when every other field has its default."""
     lines = []
     for f in fields(ExperimentConfig):
+        if f.name not in EXPERIMENTS[cfg.kind].keys:
+            continue
         v = getattr(cfg, f.name)
         v = ",".join(map(_fmt, v)) if isinstance(v, tuple) else _fmt(v)
         lines.append(f"{f.name} = {v}")
@@ -201,42 +210,58 @@ def _variance_table(cfg):
     return verify.variance_table(estimators, family, _mc_config(cfg, cfg.grid or (1.0,)), c=cfg.c)
 
 
-#: kind -> (claim, default config as ``nilelab list`` shows it, runner)
+#: One row per experiment kind: its claim, its default config as ``nilelab
+#: list`` shows it, its runner, and the config keys it reads (every kind reads
+#: ``kind``, ``name``, ``seed``, ``out`` and ``workers``).
+Experiment = namedtuple("Experiment", "claim default run keys")
+
+
+def _experiment(claim, default, run, keys=""):
+    return Experiment(claim, default, run, ("kind", "name", "seed", "out", "workers",
+                                            *keys.split()))
+
+
 EXPERIMENTS = {
-    "ancillarity": (
+    "ancillarity": _experiment(
         "sampling distribution of the designated ancillary statistic "
         "is invariant across the parameter grid (pairwise KS test)",
-        "family = nile, grid = 0.5,1,2,4, n = 5, replicates = 100000", _ancillarity),
-    "first-order": (
+        "family = nile, grid = 0.5,1,2,4, n = 5, replicates = 100000", _ancillarity,
+        "family statistic grid n c replicates"),
+    "first-order": _experiment(
         "mean of a first-order ancillary statistic is constant in the "
         "parameter (vs its closed-form normal-CDF value)",
         "family = bivariate_gaussian_corr, grid = -0.9,0,0.9, replicates = 100000",
-        _first_order),
-    "independence": (
+        _first_order, "family statistic grid c replicates"),
+    "independence": _experiment(
         "two statistics are independent at each grid point "
         "(chi-square on a decile contingency table)",
-        "family = normal_cv, stat_a = sample_mean, stat_b = sample_sd, n = 5", _independence),
-    "rao": (
+        "family = normal_cv, stat_a = sample_mean, stat_b = sample_sd, n = 5", _independence,
+        "family stat_a stat_b grid n c replicates"),
+    "rao": _experiment(
         "a UMVUE must have zero covariance with every zero-mean statistic; "
         "estimates E(g^k U) for U built from the ancillary",
-        "family = nile, estimator = nile_mle, transform = log, grid = 0.5,1,2, n = 5", _rao),
-    "cond-moment": (
+        "family = nile, estimator = nile_mle, transform = log, grid = 0.5,1,2, n = 5", _rao,
+        "family estimator transform grid n c power replicates"),
+    "cond-moment": _experiment(
         "a UMVUE's conditional second moment given the ancillary must "
         "be constant; bins the ancillary and compares bin means",
-        "family = nile, estimator = nile_star, theta = 1, n = 5", _cond_moment),
-    "fisher-info": (
+        "family = nile, estimator = nile_star, theta = 1, n = 5", _cond_moment,
+        "family estimator statistic theta n c replicates"),
+    "fisher-info": _experiment(
         "variance of the score equals (2 + 1/c^2)/theta^2, exceeding "
         "the location-only information 1/(c^2 theta^2)",
         "theta = 1, c = 1, replicates = 100000",
-        lambda cfg: verify.fisher_info(cfg.theta, cfg.c, _mc_config(cfg, (cfg.theta,)))),
-    "variance-table": (
+        lambda cfg: verify.fisher_info(cfg.theta, cfg.c, _mc_config(cfg, (cfg.theta,), n=1)),
+        "theta c replicates"),
+    "variance-table": _experiment(
         "Monte Carlo bias/variance/MSE comparison across estimators",
-        "family = nile, estimators = nile_mle,nile_star, grid = 1, n = 5", _variance_table),
-    "quadrature-selftest": (
+        "family = nile, estimators = nile_mle,nile_star, grid = 1, n = 5", _variance_table,
+        "family estimators grid n c replicates"),
+    "quadrature-selftest": _experiment(
         "the adaptive-quadrature and Bessel-representation evaluations of the "
         "conditional-moment integrals agree to 1e-8",
         "no configuration", lambda cfg: selftest.quadrature_selftest()),
-    "constraints": (
+    "constraints": _experiment(
         "natural-parameter constraint polynomials vanish along each "
         "family's parameter curve (|residual| < 1e-12)",
         "no configuration", lambda cfg: selftest.constraint_selftest()),
@@ -248,7 +273,7 @@ EXPERIMENT_KINDS = tuple(EXPERIMENTS)
 def run_experiment(cfg: ExperimentConfig) -> verify.VerificationReport:
     """Run a validated config (ConfigError if it is bad, VerificationError if untestable)."""
     try:
-        return EXPERIMENTS[cfg.kind][2](cfg)
+        return EXPERIMENTS[cfg.kind].run(cfg)
     except DomainError as exc:  # a grid point or theta outside the family's domain
         raise ConfigError(str(exc)) from None
     except QuadratureFailure as exc:  # an integral the adaptive quadrature cannot resolve
@@ -291,10 +316,10 @@ def _exit_code(report: verify.VerificationReport) -> int:
 
 def list_experiments() -> str:
     lines = ["Available experiment kinds:", ""]
-    for kind, (claim, default, _) in EXPERIMENTS.items():
+    for kind, row in EXPERIMENTS.items():
         lines.append(f"{kind}")
-        lines.append(f"    claim:   {claim}")
-        lines.append(f"    default: {default}")
+        lines.append(f"    claim:   {row.claim}")
+        lines.append(f"    default: {row.default}")
     return "\n".join(lines) + "\n"
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import (FAMILIES, DegenerateSampleError, InputError,  # noqa: F401 (re-export)
-                       InsufficientSampleError, Kind, ObservationSet)
+                       InsufficientSampleError, Kind, ObservationSet, reduce)
 from .verify import STATISTICS
 
 
@@ -64,7 +64,8 @@ def sufficient(obs: ObservationSet) -> SufficientSummary:
     kind = obs.model.kind
     family = FAMILIES[kind.value]
     pts = obs.points[None]
-    reduced = family.reduce((pts[..., 0], pts[..., 1]) if family.pairs else pts, obs.n)
+    reduced = reduce(family, (pts[..., 0], pts[..., 1]) if family.pairs else pts, obs.n,
+                     family.sufficient)
     if not set(family.sufficient) <= set(reduced):
         raise InsufficientSampleError(
             f"{kind.value}: sufficient statistic {family.sufficient} is undefined at n = {obs.n}")

@@ -9,8 +9,8 @@ and estimator risk comparisons.
 Reproducibility contract: all randomness flows from ``MCConfig.master_seed``.
 Replicates are partitioned into a fixed number of chunks (independent of
 the worker count); chunk ``i`` of grid point ``g`` always consumes the
-same spawned substream, and per-chunk results are concatenated in chunk
-order.  Reports are therefore bit-identical across worker counts.
+same spawned substream and fills the same slice of the output arrays.
+Reports are therefore bit-identical across worker counts.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from scipy.stats import chi2_contingency
 
 from . import __version__ as VERSION
 from .estimators import h_star_vector, khan_coefficients, normalcv_mle_from_sums
-from .families import FAMILIES
+from .families import FAMILIES, reduce
 from .quadrature import cond_second_moment_ratio
 
 #: Fixed replicate partition; must not depend on the worker count.
@@ -126,11 +126,11 @@ class VerificationReport:
 
 FAMILY_TOKENS = tuple(FAMILIES)
 
-#: A named statistic: ``compute(sim, theta, n, c)`` over the arrays that
-#: ``families.FAMILIES[token].reduce`` gives for each token in ``families``,
+#: A named statistic: ``compute(sim, theta, n, c)`` over the reduced arrays
+#: ``reads`` (``families.reduce`` names) for each token in ``families``,
 #: defined for n >= ``min_n``; ``target`` maps c to a known parameter-free
 #: mean, which the first-order check compares against.
-Statistic = namedtuple("Statistic", "compute families min_n target", defaults=(1, None))
+Statistic = namedtuple("Statistic", "compute reads families min_n target", defaults=(1, None))
 
 
 def _normal_cv_ratio(sim, theta, n, c):
@@ -153,30 +153,35 @@ def _score(sim, theta, n, c):
 _NILE, _CV, _UNIFORM = {"nile"}, {"normal_cv"}, {"uniform_location"}
 _CORR = {"bivariate_gaussian_corr"}
 _SCALAR = {"normal_cv", "uniform_location", "normal_unit"}
+_XY, _MS, _LH = ("xbar", "ybar"), ("xbar", "s"), ("lo", "hi")
 
 STATISTICS = {
-    "nile_product": Statistic(lambda sim, t, n, c: sim["xbar"] * sim["ybar"], _NILE),
-    "normal_cv_ratio": Statistic(_normal_cv_ratio, _CV, min_n=2),
-    "uniform_range": Statistic(lambda sim, t, n, c: sim["hi"] - sim["lo"], _UNIFORM),
-    "sample_mean": Statistic(lambda sim, t, n, c: sim["xbar"], _SCALAR | _NILE),
-    "sample_sd": Statistic(lambda sim, t, n, c: sim["s"], _CV, min_n=2),
-    "nile_mle": Statistic(lambda sim, t, n, c: np.sqrt(sim["ybar"] / sim["xbar"]), _NILE),
+    "nile_product": Statistic(lambda sim, t, n, c: sim["xbar"] * sim["ybar"], _XY, _NILE),
+    "normal_cv_ratio": Statistic(_normal_cv_ratio, _MS, _CV, min_n=2),
+    "uniform_range": Statistic(lambda sim, t, n, c: sim["hi"] - sim["lo"], _LH, _UNIFORM),
+    "sample_mean": Statistic(lambda sim, t, n, c: sim["xbar"], ("xbar",), _SCALAR | _NILE),
+    "sample_sd": Statistic(lambda sim, t, n, c: sim["s"], ("s",), _CV, min_n=2),
+    "nile_mle": Statistic(lambda sim, t, n, c: np.sqrt(sim["ybar"] / sim["xbar"]), _XY, _NILE),
     "nile_star": Statistic(
-        lambda sim, t, n, c: sim["ybar"] * h_star_vector(sim["xbar"] * sim["ybar"], n), _NILE),
-    "nile_inverse_xbar": Statistic(lambda sim, t, n, c: 1.0 / sim["xbar"], _NILE),
-    "khan_linear": Statistic(_khan_linear, _CV, min_n=2),
+        lambda sim, t, n, c: sim["ybar"] * h_star_vector(sim["xbar"] * sim["ybar"], n),
+        _XY, _NILE),
+    "nile_inverse_xbar": Statistic(lambda sim, t, n, c: 1.0 / sim["xbar"], ("xbar",), _NILE),
+    "khan_linear": Statistic(_khan_linear, _MS, _CV, min_n=2),
     "normalcv_mle": Statistic(
-        lambda sim, t, n, c: normalcv_mle_from_sums(sim["sum_x"], sim["sum_x2"], n, c), _CV),
-    "pitman_midrange": Statistic(lambda sim, t, n, c: 0.5 * (sim["lo"] + sim["hi"]), _UNIFORM),
+        lambda sim, t, n, c: normalcv_mle_from_sums(sim["sum_x"], sim["sum_x2"], n, c),
+        ("sum_x", "sum_x2"), _CV),
+    "pitman_midrange": Statistic(lambda sim, t, n, c: 0.5 * (sim["lo"] + sim["hi"]), _LH,
+                                 _UNIFORM),
     "first_order_h": Statistic(
         lambda sim, t, n, c: ((np.abs(sim["x"]) <= 1.0).astype(float)
                               + (np.abs(sim["y"]) <= 1.0).astype(float)),
-        _CORR, target=lambda c: 2.0 * (2.0 * float(ndtr(1.0)) - 1.0)),
+        ("x", "y"), _CORR, target=lambda c: 2.0 * (2.0 * float(ndtr(1.0)) - 1.0)),
     "positive_indicator": Statistic(lambda sim, t, n, c: (sim["xbar"] > 0).astype(float),
-                                    _SCALAR | _NILE, target=lambda c: float(ndtr(1.0 / c))),
-    "xy_product": Statistic(lambda sim, t, n, c: sim["x"] * sim["y"], _CORR),
-    "diff12": Statistic(lambda sim, t, n, c: sim["diff12"], _SCALAR, min_n=2),
-    "score": Statistic(_score, _CV),
+                                    ("xbar",), _SCALAR | _NILE,
+                                    target=lambda c: float(ndtr(1.0 / c))),
+    "xy_product": Statistic(lambda sim, t, n, c: sim["x"] * sim["y"], ("x", "y"), _CORR),
+    "diff12": Statistic(lambda sim, t, n, c: sim["diff12"], ("diff12",), _SCALAR, min_n=2),
+    "score": Statistic(_score, ("x1",), _CV),
 }
 
 
@@ -206,48 +211,58 @@ def _chunk_sizes(total: int, chunks: int) -> list[int]:
 def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names) -> tuple[list[dict], int]:
     """Simulate each grid point and evaluate ``names``; deterministic in workers.
 
-    Returns (per-grid-point dict of name -> array, degenerate count).
-    Replicates with a degenerate sample (s = 0) are dropped from every
-    statistic and counted.  Statistics (ValueError) and grid points
-    (DomainError) are checked before sampling.
+    Returns (per-grid-point dict of name -> array, degenerate count).  When
+    every statistic reads only names the family's ``direct`` sampler gives,
+    the sufficient statistic is drawn directly; otherwise the observations
+    are drawn and only the names read are reduced.  Replicates with a
+    degenerate sample (no spread) are dropped from every statistic and
+    counted.  Statistics (ValueError) and grid points (DomainError) are
+    checked before sampling.
     """
     grid = list(grid)
     stats = {name: resolve_statistic(name, token, n) for name in names}
     family = FAMILIES[token]
     for theta in grid:  # the same DomainError a FamilyModel raises
         family.check(theta, c)
+    reads = {r for stat in stats.values() for r in stat.reads}
+    direct = family.direct if family.direct and reads <= set(family.direct.names) else None
     per_replicate = 1 if family.single_pair else n
     sizes = _chunk_sizes(config.replicates, N_CHUNKS)
+    starts = np.cumsum([0] + sizes).tolist()
     children = np.random.SeedSequence(config.master_seed).spawn(len(grid) * len(sizes))
-    degenerate = 0
+    out = [{name: np.empty(config.replicates) for name in stats} for _ in grid]
 
     def one_chunk(gi_ci):
+        """Fill chunk ``ci``'s slice of grid point ``gi``; its degenerate mask, if any."""
         gi, ci = gi_ci
         rng = np.random.default_rng(children[gi * len(sizes) + ci])
-        sim = family.reduce(family.draw(grid[gi], c, rng, (sizes[ci], per_replicate)), n)
-        bad = sim.get("degenerate")
-        keep = ~bad if bad is not None and bad.any() else None
-        vals = {}
+        if direct:
+            sim = direct.draw(grid[gi], c, rng, sizes[ci], n)
+        else:
+            draws = family.draw(grid[gi], c, rng, (sizes[ci], per_replicate))
+            sim = reduce(family, draws, n, reads | {"degenerate"})
         for name, stat in stats.items():
-            arr = stat.compute(sim, grid[gi], n, c)
-            vals[name] = arr if keep is None else arr[keep]
-        nbad = 0 if keep is None else int((~keep).sum())
-        return vals, nbad
+            out[gi][name][starts[ci]:starts[ci + 1]] = stat.compute(sim, grid[gi], n, c)
+        bad = sim.get("degenerate")
+        return bad if bad is not None and bad.any() else None
 
     tasks = [(gi, ci) for gi in range(len(grid)) for ci in range(len(sizes))]
     pool = ThreadPoolExecutor(max_workers=config.workers)
     try:
-        chunk_results = list(pool.map(one_chunk, tasks))
+        masks = list(pool.map(one_chunk, tasks))
     finally:  # a failed chunk cancels the chunks not yet started
         pool.shutdown(cancel_futures=True)
 
-    out = []
-    for gi in range(len(grid)):
-        vals = {name: np.concatenate(
-            [chunk_results[gi * len(sizes) + ci][0][name] for ci in range(len(sizes))])
-            for name in stats}
-        degenerate += sum(chunk_results[gi * len(sizes) + ci][1] for ci in range(len(sizes)))
-        out.append(vals)
+    degenerate = 0
+    for gi, vals in enumerate(out):
+        chunk_masks = masks[gi * len(sizes):(gi + 1) * len(sizes)]
+        if any(m is not None for m in chunk_masks):
+            keep = np.ones(config.replicates, dtype=bool)
+            for ci, bad in enumerate(chunk_masks):
+                if bad is not None:
+                    keep[starts[ci]:starts[ci + 1]] = ~bad
+            degenerate += config.replicates - int(keep.sum())
+            out[gi] = {name: arr[keep] for name, arr in vals.items()}
     return out, degenerate
 
 
@@ -259,8 +274,9 @@ def _mean_se(arr: np.ndarray) -> tuple[float, float]:
 
 def _var_se(arr: np.ndarray) -> tuple[float, float]:
     """Sample variance and its standard error sqrt((m4 - var^2) / N)."""
-    var = float(arr.var(ddof=1))
-    m4 = float(np.mean((arr - arr.mean()) ** 4))
+    d2 = (arr - arr.mean()) ** 2
+    var = float(d2.sum() / (arr.size - 1))  # arr.var(ddof=1), bit for bit
+    m4 = float(np.mean(d2 * d2))
     return var, math.sqrt(max(m4 - var * var, 0.0) / arr.size)
 
 

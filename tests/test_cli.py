@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -21,7 +22,7 @@ class TestParseConfig:
     def test_full_round_trip(self):
         cfg = ExperimentConfig(kind="rao", name="demo", family="nile",
                                estimator="nile_mle", transform="log",
-                               grid=(0.5, 1.0, 2.0), theta=1.5, c=0.5, n=3,
+                               grid=(0.5, 1.0, 2.0), c=0.5, n=3,
                                replicates=5_000, power=2, seed=42, workers=2,
                                out="/tmp/x")
         assert parse_config(format_config(cfg)) == cfg
@@ -194,6 +195,13 @@ BAD_CONFIGS = [
      "positive_indicator at theta=0.5 is 0"),
     ("kind = variance-table\nfamily = normal_unit\nestimators = sample_mean\ngrid = inf\n",
      "normal_unit: theta must be finite"),
+    # a key the kind never reads
+    ("kind = fisher-info\nfamily = nile\nn = 9\n",
+     "line 2: field 'family': kind 'fisher-info' does not read it"),
+    ("kind = first-order\nn = 7\n", "line 2: field 'n': kind 'first-order' does not read it"),
+    ("kind = cond-moment\ngrid = 1, 2\n", "field 'grid'"),
+    ("kind = rao\ntheta = 2\n", "field 'theta'"),
+    ("kind = constraints\n", "line 2: field 'replicates'"),
 ]
 
 
@@ -253,7 +261,8 @@ _POINTS = (-1.5, -0.5, 0.0, 0.5, 0.9, 2.0)
 def test_any_config_reports_or_raises_typed_error(**values):
     values["estimators"] = ",".join(values["estimators"])
     values["grid"] = ",".join(map(str, values["grid"]))
-    text = "".join(f"{k} = {v}\n" for k, v in values.items() if v != "")
+    keys = EXPERIMENTS[values["kind"]].keys
+    text = "".join(f"{k} = {v}\n" for k, v in values.items() if v != "" and k in keys)
     cfg = parse_config(text)
     try:
         report = run_experiment(cfg)
@@ -263,8 +272,7 @@ def test_any_config_reports_or_raises_typed_error(**values):
 
 
 def test_quadrature_failure_exits_one_with_error_line(tmp_path, capsys):
-    # the h* table build at n = 1e6 meets an integral that quad returns as 0; not a
-    # BAD_CONFIGS case, whose replicates = 2000 would draw ~500 MB per chunk at this n
+    # the h* table build at n = 1e6 meets an integral that quad returns as 0
     cfg = _write(tmp_path, "kind = cond-moment\nn = 1000000\nreplicates = 2\n")
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 1
@@ -277,8 +285,7 @@ def test_quadrature_failure_exits_one_with_error_line(tmp_path, capsys):
 _ENTRY_POINTS = ("verify_ancillarity", "verify_first_order", "verify_independence",
                  "zero_mean_from_ancillary", "rao_zero_cov", "cond_moment_dependence",
                  "fisher_info", "variance_table")
-_MC_KINDS = [kind for kind, (_, default, _) in EXPERIMENTS.items()
-             if default != "no configuration"]
+_MC_KINDS = [kind for kind, row in EXPERIMENTS.items() if row.default != "no configuration"]
 
 
 @pytest.mark.parametrize("kind", _MC_KINDS)
@@ -290,7 +297,7 @@ def test_listed_default_is_what_runs(monkeypatch, kind):
     run_experiment(parse_config(f"kind = {kind}\n"))
     alone = calls[:]
     calls.clear()
-    listed = re.split(r",\s*(?=\w+ = )", EXPERIMENTS[kind][1])
+    listed = re.split(r",\s*(?=\w+ = )", EXPERIMENTS[kind].default)
     run_experiment(parse_config(f"kind = {kind}\n" + "".join(f"{kv}\n" for kv in listed)))
     assert alone and calls == alone
 
@@ -302,6 +309,13 @@ _TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"),
 _FLOATS = st.floats(allow_nan=False) | st.sampled_from((-2.5, -1e-300, 1e-300, 1e300, -1e300))
 
 
+def _unread_at_default(cfg):
+    """``cfg`` with every field its kind does not read at its default."""
+    keys = EXPERIMENTS[cfg.kind].keys
+    return dataclasses.replace(cfg, **{f.name: f.default for f in dataclasses.fields(cfg)
+                                       if f.name not in keys})
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(st.builds(
     ExperimentConfig, kind=st.sampled_from(EXPERIMENT_KINDS), name=_TEXT,
@@ -310,7 +324,8 @@ _FLOATS = st.floats(allow_nan=False) | st.sampled_from((-2.5, -1e-300, 1e-300, 1
     estimators=st.lists(_TEXT.filter(bool), max_size=3).map(tuple), transform=_TEXT,
     grid=st.lists(_FLOATS, max_size=4).map(tuple), theta=_FLOATS, c=_FLOATS,
     n=st.integers(1, 10 ** 9), replicates=st.integers(1, 10 ** 12), power=st.integers(1, 6),
-    seed=st.integers(-2 ** 63, 2 ** 64), workers=st.integers(1, 64), out=_TEXT))
+    seed=st.integers(-2 ** 63, 2 ** 64), workers=st.integers(1, 64),
+    out=_TEXT).map(_unread_at_default))
 def test_format_parse_round_trip_every_field_type(cfg):
     assert parse_config(format_config(cfg)) == cfg
 

@@ -62,6 +62,14 @@ class TestDensity:
         with pytest.raises(InputError):
             density(uniform_location(0.0), float("inf"))
 
+    @pytest.mark.parametrize("model,point", [
+        (nile(1.0), (1.0, 2.0, 3.0)), (nile(1.0), (1.0,)), (nile(1.0), 1.0),
+        (bivariate_gaussian(0.0), [[0.0, 0.0]]), (normal_cv(1.0), (1.0,)),
+        (uniform_location(0.0), (0.3, 0.4))])
+    def test_point_of_the_wrong_length_rejected(self, model, point):
+        with pytest.raises(InputError, match="got shape"):
+            density(model, point)
+
     @pytest.mark.parametrize("theta", [0.5, 1.0, 3.0])
     def test_nile_integrates_to_one(self, theta):
         m = nile(theta)

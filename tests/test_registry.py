@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from nilelab.canonical import NotExponentialError, natural_params
-from nilelab.families import FAMILIES, DomainError, FamilyModel, Kind, density, sample
+from nilelab.families import (FAMILIES, DomainError, FamilyModel, Kind, density, reduce,
+                              sample)
 from nilelab.selftest import CONSTRAINT_GRID_POINTS, CONSTRAINT_TOL
 from nilelab.statistics import sufficient
 from nilelab.verify import STATISTICS, MCConfig, run_grid
@@ -17,8 +18,14 @@ def test_family_row_agrees_with_engine_and_family_model(token):
     family = FAMILIES[token]
     if family.ancillary is not None:
         assert token in STATISTICS[family.ancillary].families
-    reduced = family.reduce(family.draw(0.5, 1.0, np.random.default_rng(0), (3, 2)), 2)
-    assert set(family.sufficient) <= set(reduced)
+    draws = family.draw(0.5, 1.0, np.random.default_rng(0), (3, 2))
+    reduced = reduce(family, draws, 2, family.sufficient)
+    assert list(reduced) == list(family.sufficient)
+    if family.direct is not None:  # the direct sampler gives names the raw reducer has
+        assert set(family.sufficient) <= set(family.direct.names) <= set(family.reduce)
+        direct = family.direct.draw(0.5, 1.0, np.random.default_rng(0), 3, 2)
+        assert set(family.direct.names) <= set(direct) <= set(family.reduce)
+        assert all(a.shape == (3,) for a in direct.values())
     stat = next(name for name, s in STATISTICS.items() if token in s.families)
     config = MCConfig(master_seed=0, replicates=10, theta_grid=(math.inf,), n=2)
     with pytest.raises(DomainError) as from_grid:

@@ -47,6 +47,15 @@ class TestSufficient:
             SufficientSummary(Kind.UNIFORM_LOCATION, (2.0, 1.0), 3)
 
     @pytest.mark.parametrize("kind,components", [
+        (Kind.NORMAL_CV, (1.0, math.nan)), (Kind.NORMAL_CV, (math.nan, 1.0)),
+        (Kind.NORMAL_CV, (1.0, math.inf)), (Kind.UNIFORM_LOCATION, (0.0, math.nan)),
+        (Kind.UNIFORM_LOCATION, (math.nan, 0.0)), (Kind.UNIFORM_LOCATION, (-math.inf, 0.0)),
+        (Kind.NILE, (math.nan, 1.0)), (Kind.NILE, (1.0, math.inf))])
+    def test_summary_rejects_non_finite_components(self, kind, components):
+        with pytest.raises(InputError):
+            SufficientSummary(kind, components, 5)
+
+    @pytest.mark.parametrize("kind,components", [
         (Kind.NILE, (1.0,)), (Kind.NILE, (1.0, 2.0, 3.0)),
         (Kind.NORMAL_CV, (1.0,)), (Kind.UNIFORM_LOCATION, (-1.0, 0.0, 1.0))])
     def test_summary_needs_one_component_per_name(self, kind, components):

@@ -5,10 +5,10 @@ import pytest
 import scipy.stats
 from scipy.special import ndtr
 
-from nilelab.families import (DomainError, bivariate_gaussian, nile, normal_cv,
+from nilelab.families import (FAMILIES, DomainError, bivariate_gaussian, nile, normal_cv,
                               sample, uniform_location)
-from nilelab.verify import (MCConfig, VerificationError, VerificationReport,
-                            GridPointResult, ZeroMeanSpec, _mean_se,
+from nilelab.verify import (STATISTICS, MCConfig, VerificationError, VerificationReport,
+                            GridPointResult, ZeroMeanSpec, _mean_se, _var_se,
                             cond_moment_dependence, fisher_info, identity,
                             ks_2samp, rao_zero_cov, run_grid, variance_table,
                             verify_ancillarity, verify_first_order,
@@ -276,6 +276,19 @@ class TestVarianceTable:
         assert abs(p.estimates["nile_star.bias"]) < 3 * p.se["nile_star.bias"]
 
 
+@pytest.mark.parametrize("arr", [np.array([0.0, 0.0, 0.0, 1.0]), np.array([0.1, 0.7, 0.2, 5.0]),
+                                 np.random.default_rng(8).exponential(3.0, size=1001)])
+def test_var_se_equals_the_explicit_formula(arr):
+    xs = arr.tolist()
+    mean = math.fsum(xs) / len(xs)
+    var = math.fsum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
+    m4 = math.fsum((x - mean) ** 4 for x in xs) / len(xs)
+    got_var, got_se = _var_se(arr)
+    assert got_var == float(arr.var(ddof=1))
+    assert got_var == pytest.approx(var, rel=1e-12)
+    assert got_se == pytest.approx(math.sqrt((m4 - var * var) / len(xs)), rel=1e-12)
+
+
 class TestReportStructure:
     def test_json_dict_keys(self):
         rep = verify_ancillarity("nile", "nile_product",
@@ -317,16 +330,26 @@ def test_run_grid_checks_statistics_and_domain_before_sampling():
 
 
 @pytest.mark.parametrize("model,param,n,stat,of_sample", [
-    (nile(1.3), 1.3, 5, "nile_product", lambda p: p[:, 0].mean() * p[:, 1].mean()),
-    (normal_cv(2.0, c=0.5), 2.0, 5, "sample_mean", lambda p: p.mean()),
-    (uniform_location(-0.7), -0.7, 5, "uniform_range", lambda p: p.max() - p.min()),
-    # the correlation family is sampled one pair per replicate
+    # statistics of the sufficient statistic: the row's direct sampler
+    (nile(1.3), 1.3, 5, "nile_product", lambda d: d["xbar"] * d["ybar"]),
+    (normal_cv(2.0, c=0.5), 2.0, 5, "sample_mean", lambda d: d["xbar"]),
+    (uniform_location(-0.7), -0.7, 5, "uniform_range", lambda d: d["hi"] - d["lo"]),
+    # statistics of the observations: families.sample; the correlation family
+    # is sampled one pair per replicate
     (bivariate_gaussian(0.4), 0.4, 1, "xy_product", lambda p: p[0, 0] * p[0, 1]),
+    (uniform_location(-0.7), -0.7, 5, "sample_mean", lambda p: p.mean()),
+    (normal_cv(2.0, c=0.5), 2.0, 5, "diff12", lambda p: p[0] - p[1]),
+    (normal_cv(2.0, c=0.5), 2.0, 1, "score",
+     lambda p: -0.5 + (p[0] - 2.0) / 1.0 + (p[0] - 2.0) ** 2 / 2.0),
 ])
 def test_engine_replicate_equals_scalar_sample(model, param, n, stat, of_sample):
     # one replicate consumes the first spawned substream of the master seed
     rng = np.random.default_rng(np.random.SeedSequence(4).spawn(1)[0])
-    points = sample(model, n, rng).points
+    direct = FAMILIES[model.kind.value].direct
+    if direct is not None and set(STATISTICS[stat].reads) <= set(direct.names):
+        expected = of_sample(direct.draw(param, model.c, rng, 1, n))[0]
+    else:
+        expected = of_sample(sample(model, n, rng).points)
     out, _ = run_grid(model.kind.value, (param,), n, model.c,
                       _cfg(seed=4, grid=(param,), n=n, replicates=1), [stat])
-    assert out[0][stat][0] == of_sample(points)
+    assert out[0][stat][0] == expected
