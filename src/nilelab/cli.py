@@ -363,6 +363,9 @@ def cmd_run(args) -> int:
     except (ConfigError, verify.VerificationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError as exc:  # e.g. replicates too large for run_grid's output arrays
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 def cmd_list(_args) -> int:

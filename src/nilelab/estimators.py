@@ -16,10 +16,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.special import gammaln
+from scipy.special import gammaln, kve
 
 from .families import InputError, InsufficientSampleError, Kind
-from .quadrature import cond_moment
+from .quadrature import QuadratureFailure, cond_moment
 
 if TYPE_CHECKING:  # statistics imports verify, which imports this module
     from .statistics import SufficientSummary
@@ -47,11 +47,13 @@ def nile_equivariant(summary: SufficientSummary, h) -> float:
     return ybar * hw
 
 
-# h*: the unique h making ybar*h(W) unbiased, h*(w) = 1 / E_1(ybar | W = w).
-# Direct evaluation needs two adaptive quadratures per call, far too slow for
-# Monte Carlo loops, so each sample size gets a lazily built log-log cubic
-# spline over a wide w-grid; off-grid arguments fall back to direct
-# quadrature.
+# h*: the unique h making ybar*h(W) unbiased, h*(w) = 1 / E_1(ybar | W = w),
+# with E_1(ybar | W = w) = sqrt(w) K_1(x) / K_0(x) at x = 2n sqrt(w).  Each
+# sample size gets a lazily built log-log cubic spline over a wide w-grid; its
+# nodes come from one vectorised call of scipy's exponentially scaled Bessel
+# function kve (the exp(x) scaling cancels in the ratio), which is independent
+# of both routes in ``quadrature``, so either can check the table.  Off-grid
+# arguments fall back to direct quadrature.
 
 _GRID_LOG10_LO = -8.0
 _LOGW_LO, _LOGW_HI = _GRID_LOG10_LO * math.log(10.0), 6.0 * math.log(10.0)
@@ -63,11 +65,14 @@ _hstar_lock = threading.Lock()
 
 def _build_table(n: int) -> CubicSpline:
     logw = np.linspace(_LOGW_LO, _LOGW_HI, _GRID_POINTS)
-    # rounding in exp() can push the lowest node a hair below the
-    # near-singular floor; clamp so the build never warns
-    floor = 10.0 ** _GRID_LOG10_LO
-    logm = np.array([math.log(cond_moment(1, max(math.exp(t), floor), n))
-                     for t in logw])
+    x = 2.0 * n * np.exp(0.5 * logw)
+    logm = 0.5 * logw + np.log(kve(1, x) / kve(0, x))
+    resolved = np.isfinite(logm)
+    if not resolved.all():  # kve gives NaN once x passes about 1.07e9
+        largest = f"{x[resolved].max():g}" if resolved.any() else "none"
+        raise QuadratureFailure(
+            f"h* table for n = {n}: scipy.special.kve cannot resolve 2n sqrt(w) "
+            f"up to {x[-1]:g} (largest resolved argument: {largest})")
     return CubicSpline(logw, logm)
 
 

@@ -272,12 +272,37 @@ def test_any_config_reports_or_raises_typed_error(**values):
 
 
 def test_quadrature_failure_exits_one_with_error_line(tmp_path, capsys):
-    # the h* table build at n = 1e6 meets an integral that quad returns as 0
+    # at n = 1e6 the h* table's largest Bessel arguments 2n sqrt(w) pass the
+    # ~1.07e9 that scipy.special.kve resolves
     cfg = _write(tmp_path, "kind = cond-moment\nn = 1000000\nreplicates = 2\n")
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: quadrature of I(")
+    assert len(err) == 1 and err[0].startswith("error: h* table for n = 1000000: ")
+    assert not list(out.glob("*"))
+
+
+def test_cond_moment_at_large_n_reports(tmp_path, capsys):
+    # every node of the h* table at n = 4e5 lies where scipy.special.kve is finite;
+    # the adaptive quadrature returned 0 for one of them
+    cfg = _write(tmp_path, "kind = cond-moment\nn = 400000\nreplicates = 2000\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "exp.report.json").is_file()
+
+
+def test_out_of_memory_exits_one_with_error_line(tmp_path, capsys, monkeypatch):
+    # stands in for numpy's allocation failure; nothing is allocated
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(verify, "run_grid", no_memory)
+    cfg = _write(tmp_path, "kind = ancillarity\nreplicates = 1000000000000\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: out of memory: Unable to allocate 7.28 TiB for an array"]
     assert not list(out.glob("*"))
 
 

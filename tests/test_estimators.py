@@ -1,14 +1,17 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize, minimize_scalar
 
-from nilelab.estimators import (h_star, h_star_vector, khan_coefficients,
+from nilelab.estimators import (_table_for, h_star, h_star_vector, khan_coefficients,
                                 khan_linear, nile_equivariant,
                                 nile_equivariant_star, nile_mle,
                                 normalcv_mle, pitman_midrange, s_mean_factor)
 from nilelab.families import Kind, nile, sample
+from nilelab.quadrature import (NEAR_SINGULAR_W, NearSingularWarning, cond_moment,
+                                cond_moment_bessel)
 from nilelab.statistics import InsufficientSampleError, SufficientSummary, sufficient
 
 # true value of E_1(ybar | W=1) at n=1 (Bessel ratio K_1(2)/K_0(2))
@@ -84,6 +87,29 @@ class TestHStar:
             for lam in (0.1, 0.5, 2.0, 10.0):
                 scaled = nile_equivariant_star(_nile_summary(xbar / lam, ybar * lam, n=2))
                 assert scaled == pytest.approx(lam * base, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_table_matches_adaptive_quadrature(self, n):
+        # the table's kve nodes against the quad route, every 50th node
+        table = _table_for(n)
+        for logw in table.x[::50]:
+            w = math.exp(logw)
+            near = w < NEAR_SINGULAR_W  # the lowest node rounds just below 1e-8
+            with pytest.warns(NearSingularWarning) if near else contextlib.nullcontext():
+                expected = cond_moment(1, w, n)
+            assert math.exp(table(logw)) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_table_matches_bessel_route(self, n):
+        # every node inside the trapezoid route's range 1e-3 <= 2n sqrt(w) <= 700
+        table = _table_for(n)
+        w = np.exp(table.x)
+        arg = 2.0 * n * np.sqrt(w)
+        nodes = np.flatnonzero((arg >= 1e-3) & (arg <= 700.0))
+        assert nodes.size > 1000
+        for i in nodes:
+            assert math.exp(table(table.x[i])) == pytest.approx(
+                cond_moment_bessel(1, float(w[i]), n), rel=1e-12)
 
     def test_unbiased_by_monte_carlo(self):
         theta, n, N = 2.0, 5, 100_000
