@@ -9,12 +9,17 @@ and estimator risk comparisons.
 Reproducibility contract: all randomness flows from ``MCConfig.master_seed``.
 Replicates are partitioned into a fixed number of chunks (independent of
 the worker count); chunk ``i`` of grid point ``g`` always consumes the
-same spawned substream and fills the same slice of the output arrays.
-Reports are therefore bit-identical across worker counts.
+same spawned substream and fills the same slice of the output arrays, or
+gives the same moments.  The moment-only verifiers (first-order, rao with
+its calibration run, and fisher-info) keep no replicate: each chunk is
+reduced to its count, mean and central sums M2, M3, M4, and the chunks are
+merged in chunk order, not in the order the workers finish them.  Reports
+are therefore bit-identical across worker counts.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
@@ -33,9 +38,9 @@ from .quadrature import cond_second_moment_ratio
 N_CHUNKS = 64
 
 #: Two-sample KS critical multiplier, about the asymptotic 0.001 level
-#: (Kolmogorov's c(0.001) is 1.95); the ancillarity verdict compares the
-#: largest pairwise D with KS_CRITICAL * sqrt(2 / N) for the smallest sample
-#: size N, the equal-size formula.  No p-value is computed.
+#: (Kolmogorov's c(0.001) is 1.95); the ancillarity verdict compares each
+#: pairwise D with KS_CRITICAL * sqrt((n1 + n2) / (n1 n2)) for the pair's
+#: sample sizes n1 and n2.  No p-value is computed.
 KS_CRITICAL = 1.95
 
 #: Level of each grid point's chi-square independence test.
@@ -208,7 +213,54 @@ def _chunk_sizes(total: int, chunks: int) -> list[int]:
     return [s for s in sizes if s > 0]
 
 
-def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names) -> tuple[list[dict], int]:
+def _moments(x: np.ndarray, order: int = 4) -> np.ndarray:
+    """``[count, mean, M2, ..., M_order]`` of ``x``, M_k the k-th central sum, in
+    two passes; ``order`` is 4, or 2 where only the mean and its SE are needed.
+
+    M2 is summed as ``x.var(ddof=1)`` sums it, so M2 / (count - 1) equals
+    that variance bit for bit.  An empty ``x`` gives count 0 and mean NaN.
+    """
+    if x.size == 0:
+        return np.array([0.0, math.nan] + [0.0] * (order - 1))
+    mean = x.mean()
+    d = x - mean
+    if order == 2:  # one temporary, squared in place, as x.var() does
+        d *= d
+        return np.array([x.size, mean, d.sum()])
+    d2 = d * d
+    m2 = d2.sum()
+    d *= d2
+    m3 = d.sum()
+    d2 *= d2
+    return np.array([x.size, mean, m2, m3, d2.sum()])
+
+
+def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The moments of two samples joined, from theirs (Pebay 2008).
+
+    The pairwise update of Chan, Golub and LeVeque (1979), extended to the
+    third and fourth central sums; M4's update needs M3.
+    """
+    na, ma, m2a, m3a, m4a = a
+    nb, mb, m2b, m3b, m4b = b
+    if na == 0:
+        return b
+    if nb == 0:
+        return a
+    n = na + nb
+    delta = mb - ma
+    dn = delta / n
+    m2 = m2a + m2b + delta * dn * na * nb
+    m3 = (m3a + m3b + delta * dn * dn * na * nb * (na - nb)
+          + 3.0 * dn * (na * m2b - nb * m2a))
+    m4 = (m4a + m4b + delta * dn * dn * dn * na * nb * (na * na - na * nb + nb * nb)
+          + 6.0 * dn * dn * (na * na * m2b + nb * nb * m2a)
+          + 4.0 * dn * (na * m3b - nb * m3a))
+    return np.array([n, ma + dn * nb, m2, m3, m4])
+
+
+def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names, *,
+             moments_of=None) -> tuple[list[dict], int]:
     """Simulate each grid point and evaluate ``names``; deterministic in workers.
 
     Returns (per-grid-point dict of name -> array, degenerate count).  When
@@ -218,6 +270,12 @@ def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names) -> tup
     degenerate sample (no spread) are dropped from every statistic and
     counted.  Statistics (ValueError) and grid points (DomainError) are
     checked before sampling.
+
+    With ``moments_of`` no replicate is kept: the function maps each chunk's
+    ``{name: array}`` (degenerate replicates dropped) to ``{quantity:
+    array}``, and each grid point's dict holds, per quantity, the float64
+    array ``[count, mean, M2, M3, M4]`` (``_moments``) of the chunks merged
+    in chunk order.
     """
     grid = list(grid)
     stats = {name: resolve_statistic(name, token, n) for name in names}
@@ -230,10 +288,13 @@ def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names) -> tup
     sizes = _chunk_sizes(config.replicates, N_CHUNKS)
     starts = np.cumsum([0] + sizes).tolist()
     children = np.random.SeedSequence(config.master_seed).spawn(len(grid) * len(sizes))
-    out = [{name: np.empty(config.replicates) for name in stats} for _ in grid]
+    out = None if moments_of else [{name: np.empty(config.replicates) for name in stats}
+                                   for _ in grid]
 
     def one_chunk(gi_ci):
-        """Fill chunk ``ci``'s slice of grid point ``gi``; its degenerate mask, if any."""
+        """Chunk ``ci`` of grid point ``gi``: its count of degenerate replicates,
+        and its moments (streamed) or its degenerate mask, if any (its slice of
+        ``out`` filled)."""
         gi, ci = gi_ci
         rng = np.random.default_rng(children[gi * len(sizes) + ci])
         if direct:
@@ -241,43 +302,56 @@ def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names) -> tup
         else:
             draws = family.draw(grid[gi], c, rng, (sizes[ci], per_replicate))
             sim = reduce(family, draws, n, reads | {"degenerate"})
-        for name, stat in stats.items():
-            out[gi][name][starts[ci]:starts[ci + 1]] = stat.compute(sim, grid[gi], n, c)
         bad = sim.get("degenerate")
-        return bad if bad is not None and bad.any() else None
+        bad = bad if bad is not None and bad.any() else None
+        dropped = 0 if bad is None else int(bad.sum())
+        vals = {name: stat.compute(sim, grid[gi], n, c) for name, stat in stats.items()}
+        if moments_of is None:
+            for name, v in vals.items():
+                out[gi][name][starts[ci]:starts[ci + 1]] = v
+            return dropped, bad
+        if bad is not None:
+            vals = {name: v[~bad] for name, v in vals.items()}
+        return dropped, {q: _moments(np.asarray(v, dtype=float))
+                         for q, v in moments_of(vals).items()}
 
     tasks = [(gi, ci) for gi in range(len(grid)) for ci in range(len(sizes))]
     pool = ThreadPoolExecutor(max_workers=config.workers)
     try:
-        masks = list(pool.map(one_chunk, tasks))
+        chunks = list(pool.map(one_chunk, tasks))
     finally:  # a failed chunk cancels the chunks not yet started
         pool.shutdown(cancel_futures=True)
 
-    degenerate = 0
-    for gi, vals in enumerate(out):
-        chunk_masks = masks[gi * len(sizes):(gi + 1) * len(sizes)]
-        if any(m is not None for m in chunk_masks):
+    degenerate = sum(dropped for dropped, _ in chunks)
+    per_point = [[kept for _, kept in chunks[gi * len(sizes):(gi + 1) * len(sizes)]]
+                 for gi in range(len(grid))]
+    if moments_of is not None:  # merged in chunk order, not in the order chunks finished
+        return [functools.reduce(lambda a, b: {q: _merge(a[q], b[q]) for q in a}, point)
+                for point in per_point], degenerate
+    for gi, masks in enumerate(per_point):
+        if any(bad is not None for bad in masks):
             keep = np.ones(config.replicates, dtype=bool)
-            for ci, bad in enumerate(chunk_masks):
+            for ci, bad in enumerate(masks):
                 if bad is not None:
                     keep[starts[ci]:starts[ci + 1]] = ~bad
-            degenerate += config.replicates - int(keep.sum())
-            out[gi] = {name: arr[keep] for name, arr in vals.items()}
+            out[gi] = {name: arr[keep] for name, arr in out[gi].items()}
     return out, degenerate
 
 
-def _mean_se(arr: np.ndarray) -> tuple[float, float]:
-    m = float(arr.mean())
-    se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else float("inf")
-    return m, se
+def _mean_se(moments: np.ndarray) -> tuple[float, float]:
+    """Mean and its standard error sqrt(var / N) from ``_moments``; of one
+    array, ``arr.mean()`` and ``arr.std(ddof=1) / sqrt(N)`` bit for bit."""
+    count, mean, m2 = moments[:3]
+    se = math.sqrt(m2 / (count - 1)) / math.sqrt(count) if count > 1 else math.inf
+    return float(mean), float(se)
 
 
-def _var_se(arr: np.ndarray) -> tuple[float, float]:
-    """Sample variance and its standard error sqrt((m4 - var^2) / N)."""
-    d2 = (arr - arr.mean()) ** 2
-    var = float(d2.sum() / (arr.size - 1))  # arr.var(ddof=1), bit for bit
-    m4 = float(np.mean(d2 * d2))
-    return var, math.sqrt(max(m4 - var * var, 0.0) / arr.size)
+def _var_se(moments: np.ndarray) -> tuple[float, float]:
+    """Sample variance and its standard error sqrt((m4 - var^2) / N) from ``_moments``."""
+    count, _, m2, _, m4 = moments
+    var = float(m2 / (count - 1))  # of one array, arr.var(ddof=1) bit for bit
+    m4 = float(m4 / count)
+    return var, math.sqrt(max(m4 - var * var, 0.0) / count)
 
 
 def _z(diff: float, se: float, quantity: str, theta: float) -> float:
@@ -315,7 +389,12 @@ def verify_ancillarity(token: str, statistic: str, config: MCConfig,
 
     Each grid point's sample is sorted once (after its mean and SE are
     taken: ``np.mean`` sums pairwise, so the order changes the last bits) and
-    shared by every KS pair it belongs to.
+    shared by every KS pair it belongs to.  Each pair's D is compared with
+    its own threshold KS_CRITICAL * sqrt((n1 + n2) / (n1 n2)), since dropping
+    degenerate replicates can leave the samples of unequal size; the report's
+    ``ks_threshold`` is the threshold of the pair whose D comes closest to
+    its own (largest D / threshold), the one threshold of every pair when
+    the sizes are equal.
     """
     if len(config.theta_grid) < 2:
         raise ValueError("ancillarity check needs at least 2 grid points")
@@ -327,20 +406,23 @@ def verify_ancillarity(token: str, statistic: str, config: MCConfig,
         if s.size == 0:
             raise VerificationError(f"every replicate at theta={t:g} is degenerate; "
                                     f"there is no sample to compare")
-        m, se = _mean_se(s)
+        m, se = _mean_se(_moments(s, order=2))
         points.append(GridPointResult(param=t, estimates={statistic: m},
                                       se={statistic: se}))
         s.sort()
-    nmin = min(s.size for s in samples)
-    threshold = KS_CRITICAL * math.sqrt(2.0 / nmin)
-    max_ks = 0.0
     pair_stats = {}
+    tested = []  # (D, threshold) per pair
     for i in range(len(samples)):
         for j in range(i + 1, len(samples)):
             d = ks_2samp(samples[i], samples[j])
             pair_stats[f"ks[{config.theta_grid[i]:g},{config.theta_grid[j]:g}]"] = d
-            max_ks = max(max_ks, d)
-    verdicts = {"distribution-invariant": "pass" if max_ks < threshold else "fail"}
+            # sqrt(2 / n) bit for bit when the sizes are equal
+            tested.append((d, KS_CRITICAL * math.sqrt(1.0 / samples[i].size
+                                                      + 1.0 / samples[j].size)))
+    max_ks = max(d for d, _ in tested)
+    threshold = max(tested, key=lambda dt: dt[0] / dt[1])[1]
+    invariant = all(d < t for d, t in tested)
+    verdicts = {"distribution-invariant": "pass" if invariant else "fail"}
     if degenerate > 0:
         verdicts["no-degenerate-samples"] = "fail"
     return VerificationReport(
@@ -357,9 +439,10 @@ def verify_first_order(token: str, statistic: str, config: MCConfig,
     When the statistic has a known parameter-free mean the comparison is
     against that constant; otherwise against the pooled grand mean.  A grid
     point where the statistic is constant (SE 0) raises VerificationError.
+    Streams: keeps the moments of each grid point, not its replicates.
     """
     per_point, degenerate = run_grid(token, config.theta_grid, config.n, c,
-                                     config, [statistic])
+                                     config, [statistic], moments_of=lambda sim: sim)
     means, ses = zip(*(_mean_se(p[statistic]) for p in per_point))
     for t, se in zip(config.theta_grid, ses):
         _z(0.0, se, statistic, t)
@@ -460,13 +543,14 @@ def zero_mean_from_ancillary(spec_id: str, source: str, transform, token: str,
 
     The centering constant is estimated once at theta = 1 and frozen; its
     standard error is carried so downstream covariance tests can widen
-    their error bands accordingly.
+    their error bands accordingly.  Streams: keeps the moments, not the
+    replicates.
     """
     cfg = MCConfig(master_seed=seed, replicates=calibration_n, theta_grid=(1.0,),
                    n=n, workers=1)
-    per_point, _ = run_grid(token, (1.0,), n, c, cfg, [source])
-    vals = np.asarray(transform(per_point[0][source]), dtype=float)
-    center, center_se = _mean_se(vals)
+    per_point, _ = run_grid(token, (1.0,), n, c, cfg, [source],
+                            moments_of=lambda sim: {"U": transform(sim[source])})
+    center, center_se = _mean_se(per_point[0]["U"])
     return ZeroMeanSpec(id=spec_id, source=source, transform=transform,
                         center=center, center_se=center_se)
 
@@ -493,26 +577,30 @@ def rao_zero_cov(g_stat: str, u: ZeroMeanSpec, token: str, config: MCConfig,
     Verdicts: ``consistent`` (pass) when every |z| < 3, ``violates`` (fail)
     when some |z| > 4, otherwise inconclusive.  The zero-mean self-check
     (|mean U| < 4 SE at every grid point) runs first and aborts on failure.
+    Streams: keeps the moments of U, g^k U and g^k, not the replicates.
     """
     if not 1 <= power <= 6:
         raise ValueError(f"power must be in [1, 6], got {power}")
+
+    def quantities(sim):
+        uvals = u.evaluate(sim)
+        g = sim[g_stat] ** power
+        return {"U": uvals, "gU": g * uvals, "g": g}
+
     per_point, degenerate = run_grid(token, config.theta_grid, config.n, c,
-                                     config, [g_stat, u.source])
+                                     config, [g_stat, u.source], moments_of=quantities)
     points = []
     zmax = 0.0
-    for t, sim in zip(config.theta_grid, per_point):
-        uvals = u.evaluate(sim)
-        m_u, se_u = _mean_se(uvals)
+    for t, moments in zip(config.theta_grid, per_point):
+        m_u, se_u = _mean_se(moments["U"])
         se_u_total = math.sqrt(se_u ** 2 + u.center_se ** 2)
         if abs(m_u) > 4.0 * se_u_total:
             raise VerificationError(
                 f"zero-mean self-check failed for {u.id} at theta={t}: "
                 f"mean {m_u:.4g} vs SE {se_u_total:.4g}")
-        g = sim[g_stat] ** power
-        prod = g * uvals
-        est, se_prod = _mean_se(prod)
+        est, se_prod = _mean_se(moments["gU"])
         # uncertainty of the frozen centering constant enters through E[g^k]
-        se = math.sqrt(se_prod ** 2 + (float(g.mean()) * u.center_se) ** 2)
+        se = math.sqrt(se_prod ** 2 + (float(moments["g"][1]) * u.center_se) ** 2)
         z = _z(est, se, "E[g^k U]", t)
         zmax = max(zmax, abs(z))
         points.append(GridPointResult(
@@ -558,8 +646,7 @@ def cond_moment_dependence(g_stat: str, token: str, theta: float,
     bin_means, bin_ses = [], []
     for b in range(10):
         sel = idx == b
-        vals = g2[sel]
-        m, se = _mean_se(vals)
+        m, se = _mean_se(_moments(g2[sel], order=2))
         center = float(np.median(w[sel]))
         stats = {"bin_count": int(sel.sum())}
         if overlay:
@@ -587,9 +674,11 @@ def fisher_info(theta: float, c: float, config: MCConfig) -> VerificationReport:
     """MC variance of the per-observation score vs the closed form (2 + 1/c^2)/theta^2.
 
     Also reports the location-only information 1/(c^2 theta^2) and the
-    ratio (2 c^2 + 1) between the two.
+    ratio (2 c^2 + 1) between the two.  Streams: keeps the moments of the
+    score, not its replicates.
     """
-    per_point, _ = run_grid("normal_cv", (theta,), 1, c, config, ["score"])
+    per_point, _ = run_grid("normal_cv", (theta,), 1, c, config, ["score"],
+                            moments_of=lambda sim: sim)
     var, se = _var_se(per_point[0]["score"])
     closed = (2.0 + 1.0 / (c * c)) / (theta * theta)
     location_only = 1.0 / (c * c * theta * theta)
@@ -614,9 +703,9 @@ def variance_table(estimators, token: str, config: MCConfig,
     for t, sim in zip(config.theta_grid, per_point):
         est, se, stats = {}, {}, {}
         for name in estimators:
-            vals = sim[name]
-            m, m_se = _mean_se(vals)
-            var, var_se = _var_se(vals)
+            moments = _moments(sim[name])
+            m, m_se = _mean_se(moments)
+            var, var_se = _var_se(moments)
             est[f"{name}.bias"] = m - t
             se[f"{name}.bias"] = m_se
             est[f"{name}.variance"] = var

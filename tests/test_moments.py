@@ -1,0 +1,147 @@
+"""The streamed moments: per-chunk moments merged in chunk order.
+
+``run_grid(..., moments_of=f)`` keeps no replicate.  Each chunk is reduced
+to ``[count, mean, M2, M3, M4]`` and the chunks are merged with the
+pairwise update of Chan, Golub and LeVeque (1979), extended by Pebay (2008)
+to the third and fourth central sums.  The moment-only verifiers
+(first-order, rao with its calibration run, fisher-info) read only these.
+"""
+
+import functools
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from nilelab.cli import main
+from nilelab.verify import (MCConfig, VerificationError, ZeroMeanSpec, _merge, _moments,
+                            fisher_info, identity, rao_zero_cov, run_grid,
+                            verify_first_order)
+
+_X = np.random.default_rng(21).exponential(3.0, size=1001)
+
+#: Chunk sizes that split ``_X``: uneven, with chunks of size 1.
+SPLITS = {
+    "uneven-with-singletons": [1, 1, 500, 1, 3, 495],
+    "one-chunk": [1001],
+    "halves-and-one": [500, 1, 500],
+    "all-singletons": [1] * 1001,
+    "random": np.diff(np.r_[0, np.sort(np.random.default_rng(5).choice(
+        np.arange(1, 1001), size=40, replace=False)), 1001]).tolist(),
+}
+
+
+def _merged(x, sizes):
+    pieces = np.split(x, np.cumsum(sizes)[:-1])
+    return functools.reduce(_merge, (_moments(p) for p in pieces))
+
+
+@pytest.mark.parametrize("split", SPLITS)
+def test_merge_matches_two_pass_moments(split):
+    sizes = SPLITS[split]
+    assert sum(sizes) == _X.size
+    count, mean, m2, m3, m4 = _merged(_X, sizes)
+    d = _X - _X.mean()
+    assert count == _X.size
+    assert mean == pytest.approx(_X.mean(), rel=1e-12)
+    assert m2 / (count - 1) == pytest.approx(_X.var(ddof=1), rel=1e-12)
+    assert m3 == pytest.approx(np.sum(d ** 3), rel=1e-12)
+    assert m4 / count == pytest.approx(np.mean(d ** 4), rel=1e-12)
+
+
+def test_merge_with_an_empty_side_returns_the_other():
+    a, empty = _moments(_X), _moments(np.array([]))
+    assert empty[0] == 0 and math.isnan(empty[1])
+    assert _merge(a, empty) is a and _merge(empty, a) is a
+
+
+def test_streamed_run_grid_matches_the_arrays():
+    config = MCConfig(master_seed=3, replicates=5_000, theta_grid=(0.5, 2.0), n=5)
+    arrays, _ = run_grid("nile", config.theta_grid, 5, 1.0, config, ["nile_mle", "ancillary"])
+    streamed, _ = run_grid("nile", config.theta_grid, 5, 1.0, config, ["nile_mle", "ancillary"],
+                           moments_of=lambda sim: {"g": sim["nile_mle"],
+                                                   "gw": sim["nile_mle"] * sim["ancillary"]})
+    for point, moments in zip(arrays, streamed):
+        assert set(moments) == {"g", "gw"}
+        for quantity, vals in (("g", point["nile_mle"]),
+                               ("gw", point["nile_mle"] * point["ancillary"])):
+            got = moments[quantity]
+            assert got.dtype == np.float64 and got.shape == (5,)
+            np.testing.assert_allclose(got, _moments(vals), rtol=1e-12)
+
+
+def test_constant_statistic_still_has_zero_se():
+    # at c = 1e-3 the sample mean of normal_cv is positive in every replicate
+    with pytest.raises(VerificationError, match="positive_indicator at theta=0.5 is 0;"):
+        verify_first_order("normal_cv", "positive_indicator",
+                           MCConfig(master_seed=0, replicates=1_000, theta_grid=(0.5, 1.0),
+                                    n=1), c=1e-3)
+
+
+def test_streamed_rao_counts_the_dropped_replicates():
+    # at c = 1e-15 some n = 2 samples have s = 0; the count is the one the
+    # array path gives (286 before the moments were streamed)
+    config = MCConfig(master_seed=9, replicates=2_000, theta_grid=(1.0,), n=2)
+    u = ZeroMeanSpec(id="centred-mean", source="sample_mean", transform=identity,
+                     center=1.0, center_se=0.0)
+    rep = rao_zero_cov("khan_linear", u, "normal_cv", config, c=1e-15)
+    _, degenerate = run_grid("normal_cv", (1.0,), 2, 1e-15, config,
+                             ["khan_linear", "sample_mean"])
+    assert rep.degenerate_count == degenerate == 286
+
+
+#: N at which each moment-only verifier's traced peak must stay below one
+#: length-N float64 array.
+MEMORY_N = 640_000
+_CONTRAST = ZeroMeanSpec(id="first-contrast", source="diff12", transform=identity,
+                         center=0.0, center_se=0.0)
+MOMENT_ONLY = {
+    "fisher_info": lambda: fisher_info(1.0, 1.0, MCConfig(1, MEMORY_N, (1.0,), 1)),
+    "verify_first_order": lambda: verify_first_order(
+        "bivariate_gaussian_corr", "first_order_h", MCConfig(1, MEMORY_N, (-0.9, 0.0, 0.9), 1)),
+    "rao_zero_cov": lambda: rao_zero_cov(
+        "sample_mean", _CONTRAST, "normal_unit", MCConfig(1, MEMORY_N, (0.5, 1.0, 2.0), 5)),
+}
+
+
+@pytest.mark.parametrize("verifier", MOMENT_ONLY)
+def test_moment_only_verifier_keeps_no_replicate_array(verifier):
+    tracemalloc.start()
+    try:
+        MOMENT_ONLY[verifier]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * MEMORY_N
+
+
+#: One config per streamed path: first-order, rao with a calibrated log
+#: transform, with the exact normal_unit contrast and with the median
+#: indicator, and fisher-info.
+STREAMED_CONFIGS = {
+    "first-order": "kind = first-order\nreplicates = 4000\n",
+    "rao-log": "kind = rao\nfamily = nile\nestimator = nile_mle\ntransform = log\n"
+               "n = 1\nreplicates = 4000\n",
+    "rao-contrast": "kind = rao\nfamily = normal_unit\nestimator = sample_mean\nn = 5\n"
+                    "replicates = 4000\n",
+    "rao-indicator": "kind = rao\nfamily = nile\nestimator = nile_mle\ntransform = indicator\n"
+                     "n = 3\nreplicates = 4000\n",
+    "fisher-info": "kind = fisher-info\ntheta = 2\nc = 0.5\nreplicates = 4000\n",
+}
+
+
+@pytest.mark.parametrize("kind", STREAMED_CONFIGS)
+def test_streamed_reports_do_not_depend_on_the_worker_count(kind, tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(STREAMED_CONFIGS[kind])
+    reports = {}
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}"
+        assert main(["run", str(cfg), "--out", str(out), "--seed", "5",
+                     "--workers", str(workers)]) in (0, 2)
+        text = (out / "exp.report.json").read_text()
+        echo = f'"workers": {workers}'
+        assert text.count(echo) == 1
+        reports[workers] = text.replace(echo, '"workers": _')
+    assert reports[1] == reports[2] == reports[3]

@@ -7,8 +7,9 @@ from scipy.special import ndtr
 
 from nilelab.families import (FAMILIES, DomainError, bivariate_gaussian, nile, normal_cv,
                               sample, uniform_location)
-from nilelab.verify import (STATISTICS, MCConfig, VerificationError, VerificationReport,
-                            GridPointResult, ZeroMeanSpec, _mean_se, _var_se,
+from nilelab import verify
+from nilelab.verify import (KS_CRITICAL, STATISTICS, MCConfig, VerificationError, VerificationReport,
+                            GridPointResult, ZeroMeanSpec, _mean_se, _moments, _var_se,
                             cond_moment_dependence, fisher_info, identity,
                             ks_2samp, rao_zero_cov, run_grid, variance_table,
                             verify_ancillarity, verify_first_order,
@@ -81,6 +82,25 @@ class TestAncillarity:
         with pytest.raises(ValueError):
             verify_ancillarity("nile", "nile_product", _cfg(grid=(1.0,)))
 
+    def test_equal_sizes_keep_the_equal_size_threshold(self):
+        rep = verify_ancillarity("nile", "nile_product", _cfg(replicates=3_000))
+        assert rep.statistics["ks_threshold"] == KS_CRITICAL * math.sqrt(2.0 / 3_000)
+
+    def test_unequal_sizes_use_the_two_sample_threshold(self, monkeypatch):
+        # sizes 1000 and 4000, as degenerate replicates may leave them: D = 0.08
+        # passes the equal-size threshold of the smaller one, 1.95 sqrt(2/1000)
+        # = 0.087, but not the pair's 1.95 sqrt(1/1000 + 1/4000) = 0.069
+        a = (np.arange(1_000) + 0.5) / 1_000
+        b = (np.arange(4_000) + 0.5) / 4_000 + 0.08
+        monkeypatch.setattr(verify, "run_grid", lambda *args, **kwargs: (
+            [{"nile_product": a.copy()}, {"nile_product": b.copy()}], 3_000))
+        rep = verify_ancillarity("nile", "nile_product", _cfg(replicates=4_000))
+        threshold = KS_CRITICAL * math.sqrt(1 / 1_000 + 1 / 4_000)
+        assert threshold < rep.statistics["max_ks"] < KS_CRITICAL * math.sqrt(2 / 1_000)
+        assert rep.statistics["ks_threshold"] == pytest.approx(threshold, rel=1e-15)
+        assert rep.verdicts == {"distribution-invariant": "fail",
+                                "no-degenerate-samples": "fail"}
+
     def test_all_degenerate_grid_point_raises_verification_error(self):
         # c * theta = 1e-20 rounds every observation to theta, so s = 0 everywhere
         with pytest.raises(VerificationError, match="every replicate at theta=1 is degenerate"):
@@ -146,7 +166,7 @@ def test_ancillarity_report_equals_scipy_on_the_same_samples(token, statistic, g
     assert {k: v for k, v in rep.statistics.items() if k.startswith("ks[")} == expected
     assert rep.statistics["max_ks"] == max(expected.values())
     for point, s in zip(rep.points, samples):
-        assert (point.estimates[statistic], point.se[statistic]) == _mean_se(s)
+        assert (point.estimates[statistic], point.se[statistic]) == _mean_se(_moments(s))
 
 
 class TestFirstOrder:
@@ -283,7 +303,7 @@ def test_var_se_equals_the_explicit_formula(arr):
     mean = math.fsum(xs) / len(xs)
     var = math.fsum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
     m4 = math.fsum((x - mean) ** 4 for x in xs) / len(xs)
-    got_var, got_se = _var_se(arr)
+    got_var, got_se = _var_se(_moments(arr))
     assert got_var == float(arr.var(ddof=1))
     assert got_var == pytest.approx(var, rel=1e-12)
     assert got_se == pytest.approx(math.sqrt((m4 - var * var) / len(xs)), rel=1e-12)
