@@ -26,12 +26,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr  # standard normal CDF
-from scipy.stats import chi2_contingency
+from scipy.special import chdtrc, ndtr  # chi-square survival function, normal CDF
 
 from . import __version__ as VERSION
 from .estimators import h_star_vector, khan_coefficients, normalcv_mle_from_sums
-from .families import FAMILIES, reduce
+from .families import FAMILIES, DomainError, reduce
 from .quadrature import cond_second_moment_ratio
 
 #: Fixed replicate partition; must not depend on the worker count.
@@ -474,6 +473,27 @@ def _quantile_bins(arr: np.ndarray, k: int) -> np.ndarray:
     return np.searchsorted(edges, arr, side="right")
 
 
+def chi2_contingency(observed: np.ndarray) -> tuple[float, float]:
+    """Pearson's chi-square test of independence on a 2-D table of counts.
+
+    Returns (statistic, p-value), the same float arithmetic as
+    ``scipy.stats.chi2_contingency`` with its defaults, and equal to its
+    statistic and p-value bit for bit: expected counts from the margins,
+    Yates' continuity correction when there is one degree of freedom, and
+    the p-value from the chi-square survival function ``chdtrc``.  Every
+    row and column sum must be positive.
+    """
+    observed = np.asarray(observed, dtype=np.float64)
+    rows, cols = observed.sum(axis=1, keepdims=True), observed.sum(axis=0, keepdims=True)
+    expected = rows * cols / observed.sum()
+    dof = expected.size - sum(expected.shape) + 1
+    if dof == 1:  # Yates: move each count toward its expectation by at most 0.5
+        diff = expected - observed
+        observed = observed + np.minimum(0.5, np.abs(diff)) * np.sign(diff)
+    stat = float(((observed - expected) ** 2 / expected).sum())
+    return stat, float(chdtrc(dof, stat))
+
+
 def verify_independence(stat_a: str, stat_b: str, token: str, config: MCConfig,
                         c: float = 1.0) -> VerificationReport:
     """Pass iff no dependence between stat_a and stat_b is detected at any grid point.
@@ -500,8 +520,7 @@ def verify_independence(stat_a: str, stat_b: str, token: str, config: MCConfig,
             p = 1.0
             chi2 = 0.0
         else:
-            res = chi2_contingency(table)
-            chi2, p = float(res.statistic), float(res.pvalue)
+            chi2, p = chi2_contingency(table)
         min_p = min(min_p, p)
         points.append(GridPointResult(param=t, statistics={"chi2": chi2, "p_value": p}))
     verdicts = {"independent": "pass" if min_p >= INDEPENDENCE_ALPHA else "fail"}
@@ -563,10 +582,25 @@ def median_indicator(token: str, n: int, c: float, seed: int):
     return lambda w: (np.asarray(w) <= median).astype(float)
 
 
+@dataclass(frozen=True)
+class PositiveLog:
+    """np.log of the ancillary of family ``token``; DomainError, before any log
+    is taken, when some replicate of the ancillary is not positive."""
+
+    token: str
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if not (x > 0).all():
+            raise DomainError(f"transform 'log' needs a positive ancillary, but "
+                              f"{FAMILIES[self.token].ancillary} takes values <= 0 "
+                              f"on family {self.token!r}")
+        return np.log(x)
+
+
 #: Transforms of the ancillary for zero-mean statistics, by name: each maps
-#: (token, n, c, seed) to the elementwise transform; only the median
-#: indicator uses them, for its calibration run.
-TRANSFORMS = {"log": lambda *_: np.log, "identity": lambda *_: identity,
+#: (token, n, c, seed) to the elementwise transform; the log reads the token,
+#: the median indicator all four, for its calibration run.
+TRANSFORMS = {"log": lambda token, *_: PositiveLog(token), "identity": lambda *_: identity,
               "indicator": median_indicator}
 
 

@@ -1,12 +1,16 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nilelab
 from nilelab import verify
 from nilelab.cli import (EXPERIMENT_KINDS, EXPERIMENTS, ConfigError, ExperimentConfig,
                          format_config, list_experiments, main, parse_config,
@@ -201,6 +205,10 @@ BAD_CONFIGS = [
     ("kind = first-order\nn = 7\n", "line 2: field 'n': kind 'first-order' does not read it"),
     ("kind = cond-moment\ngrid = 1, 2\n", "field 'grid'"),
     ("kind = rao\ntheta = 2\n", "field 'theta'"),
+    # xbar / s < 0 whenever xbar < 0: the log is never taken (a warning fails the run)
+    ("kind = rao\nfamily = normal_cv\nestimator = khan_linear\ngrid = 0.5,2\npower = 2\n",
+     "transform 'log' needs a positive ancillary, but normal_cv_ratio takes values <= 0 "
+     "on family 'normal_cv'"),
     ("kind = constraints\n", "line 2: field 'replicates'"),
 ]
 
@@ -360,7 +368,8 @@ def _mc(grid, n=5):
 
 
 def _anc_calibration(family):
-    return ("zero_mean_from_ancillary", ("log-of-ancillary", "ancillary", np.log, family),
+    return ("zero_mean_from_ancillary",
+            ("log-of-ancillary", "ancillary", verify.PositiveLog(family), family),
             {"n": 5, "seed": 1, "c": 1.0})
 
 
@@ -431,3 +440,29 @@ def test_per_family_defaults(monkeypatch, kind, family, extra):
     else:
         run_experiment(cfg)
         assert calls == expected
+
+
+#: Runs every experiment kind at small N in a fresh interpreter; exits 1 if
+#: any run errs and 2 if one of them imported scipy.stats.
+_EVERY_KIND = """
+import sys
+from pathlib import Path
+from nilelab import cli
+out = Path(sys.argv[1])
+for kind, row in cli.EXPERIMENTS.items():
+    cfg = out / f"{kind}.cfg"
+    cfg.write_text(f"kind = {kind}\\n" + ("replicates = 2000\\n" if "replicates" in row.keys else ""))
+    if cli.main(["run", str(cfg), "--out", str(out)]) not in (0, 2, 3):
+        sys.exit(f"kind {kind} exited 1")
+sys.exit(2 * ("scipy.stats" in sys.modules))
+"""
+
+
+def test_no_run_imports_scipy_stats(tmp_path):
+    # pytest has imported scipy.stats for other tests, hence a fresh interpreter
+    src = str(Path(nilelab.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", _EVERY_KIND, str(tmp_path)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr or "a run imported scipy.stats"
+    assert {p.name for p in tmp_path.glob("*.report.json")} == {
+        f"{kind}.report.json" for kind in EXPERIMENTS}

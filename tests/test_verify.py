@@ -10,8 +10,8 @@ from nilelab.families import (FAMILIES, DomainError, bivariate_gaussian, nile, n
 from nilelab import verify
 from nilelab.verify import (KS_CRITICAL, STATISTICS, MCConfig, VerificationError, VerificationReport,
                             GridPointResult, ZeroMeanSpec, _mean_se, _moments, _var_se,
-                            cond_moment_dependence, fisher_info, identity,
-                            ks_2samp, rao_zero_cov, run_grid, variance_table,
+                            _quantile_bins, chi2_contingency, cond_moment_dependence,
+                            fisher_info, identity, ks_2samp, rao_zero_cov, run_grid, variance_table,
                             verify_ancillarity, verify_first_order,
                             verify_independence, zero_mean_from_ancillary)
 
@@ -187,6 +187,50 @@ class TestFirstOrder:
         # E xbar = theta varies along the grid
         rep = verify_first_order("normal_unit", "sample_mean", _cfg())
         assert rep.verdict == "fail"
+
+
+def _scipy_chi2(table):
+    res = scipy.stats.chi2_contingency(table)
+    return float(res.statistic), float(res.pvalue)
+
+
+def _tables(seed, count, low, high, shape=None):
+    rng = np.random.default_rng(seed)
+    return [rng.integers(low, high, size=shape or tuple(rng.integers(2, 11, size=2)))
+            for _ in range(count)]
+
+
+CHI2_CASES = {
+    "random-r-by-c": _tables(21, 300, 3, 200),
+    "yates-2x2": _tables(22, 300, 3, 200, shape=(2, 2)),
+    "yates-2x2-near-expected": [np.array([[10, 10], [10, 11]]), np.array([[50, 50], [50, 50]]),
+                                np.array([[7, 8], [8, 7]])],
+    "large-counts": _tables(23, 300, 10 ** 5, 10 ** 6),
+    "large-counts-2x2": _tables(24, 100, 10 ** 5, 10 ** 6, shape=(2, 2)),
+}
+
+
+class TestChi2Contingency:
+    @pytest.mark.parametrize("case", CHI2_CASES)
+    def test_equals_scipy_exactly(self, case):
+        for table in CHI2_CASES[case]:
+            stat, p = chi2_contingency(table)
+            assert isinstance(stat, float) and isinstance(p, float)
+            assert (stat, p) == _scipy_chi2(table)
+
+    def test_independence_report_equals_scipy_on_the_same_samples(self):
+        # N = 20 gives k = 2 bins: 2x2 tables, one degree of freedom, the Yates path
+        grid = (0.5, 1.0, 2.0, 4.0)
+        cfg = _cfg(seed=5, replicates=20, grid=grid, n=5)
+        rep = verify_independence("sample_mean", "sample_sd", "normal_cv", cfg)
+        assert rep.statistics["bins"] == 2
+        per_point, _ = run_grid("normal_cv", grid, 5, 1.0, cfg, ["sample_mean", "sample_sd"])
+        for point, sim in zip(rep.points, per_point):
+            table = np.zeros((2, 2), dtype=np.int64)
+            np.add.at(table, (_quantile_bins(sim["sample_mean"], 2),
+                              _quantile_bins(sim["sample_sd"], 2)), 1)
+            stat, p = _scipy_chi2(table)
+            assert (point.statistics["chi2"], point.statistics["p_value"]) == (stat, p)
 
 
 class TestIndependence:
