@@ -175,7 +175,7 @@ def _rao(cfg):
     family = cfg.family or "nile"
     contrast = FAMILIES[family].contrast  # exact zero mean: no calibration or transform
     _statistic("n" if contrast else "family", contrast or "ancillary", family, cfg.n)
-    if not contrast and cfg.transform not in verify.TRANSFORMS:
+    if cfg.transform not in verify.TRANSFORMS:
         raise ConfigError(f"field 'transform': unknown transform {cfg.transform!r}")
     estimator = _statistic("estimator", cfg.estimator or "nile_mle", family, cfg.n)
     if contrast:
@@ -196,11 +196,8 @@ def _cond_moment(cfg):
     estimator = _statistic("estimator", cfg.estimator or "nile_star", family, cfg.n)
     w_stat = _statistic("statistic", cfg.statistic or FAMILIES[family].contrast or "ancillary",
                         family, cfg.n)
-    # the quadrature prediction is for the unbiased estimator given W itself
-    overlay = estimator == "nile_star" and w_stat in ("ancillary", "nile_product")
     return verify.cond_moment_dependence(
-        estimator, family, cfg.theta, _mc_config(cfg, (cfg.theta,)),
-        w_stat=w_stat, c=cfg.c, overlay=overlay)
+        estimator, family, cfg.theta, _mc_config(cfg, (cfg.theta,)), w_stat=w_stat, c=cfg.c)
 
 
 def _variance_table(cfg):

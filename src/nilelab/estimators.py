@@ -5,7 +5,9 @@ Nile estimators are all scale-equivariant: mapping the sufficient pair
 Any such estimator factors as ybar * h(W) with W = xbar * ybar, so the
 module exposes a pluggable ``nile_equivariant`` plus the specific choices
 studied here: the MLE h(w) = 1/sqrt(w) and the unbiased h*(w) =
-1 / E_1(ybar | W = w).
+1 / E_1(ybar | W = w).  Each scalar estimator is its ``verify.STATISTICS`` row
+evaluated on one summary (``SufficientSummary.evaluate``); the rows call h* and
+Khan's (a, b) here.
 """
 
 from __future__ import annotations
@@ -18,33 +20,24 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import gammaln, kve
 
-from .families import InputError, InsufficientSampleError, Kind
+from .families import InputError, InsufficientSampleError
 from .quadrature import QuadratureFailure, cond_moment
 
 if TYPE_CHECKING:  # statistics imports verify, which imports this module
     from .statistics import SufficientSummary
 
 
-def _require(summary: SufficientSummary, kind: Kind):
-    if summary.kind is not kind:
-        raise InputError(f"expected a {kind.value} summary, got {summary.kind.value}")
-
-
 def nile_mle(summary: SufficientSummary) -> float:
     """sqrt(ybar / xbar), the maximum likelihood estimate."""
-    _require(summary, Kind.NILE)
-    xbar, ybar = summary.components
-    return math.sqrt(ybar / xbar)
+    return summary.evaluate("nile_mle")
 
 
 def nile_equivariant(summary: SufficientSummary, h) -> float:
     """ybar * h(W) for a user-supplied positive h; exactly scale-equivariant."""
-    _require(summary, Kind.NILE)
-    xbar, ybar = summary.components
-    hw = float(h(xbar * ybar))
+    hw = float(h(summary.evaluate("nile_product")))
     if not (math.isfinite(hw) and hw > 0):
         raise ValueError(f"h must return a positive finite value, got {hw}")
-    return ybar * hw
+    return summary.components[1] * hw  # ybar
 
 
 # h*: the unique h making ybar*h(W) unbiased, h*(w) = 1 / E_1(ybar | W = w),
@@ -96,6 +89,8 @@ def h_star(w: float, n: int) -> float:
 
 def h_star_vector(w: np.ndarray, n: int) -> np.ndarray:
     """Vectorized ``h_star``; w off the spline grid falls back to direct quadrature."""
+    if not isinstance(n, (int, np.integer)) or n < 1:  # before a table is built for n
+        raise ValueError(f"sample size must be an integer >= 1, got {n!r}")
     w = np.asarray(w, dtype=float)
     logw = np.log(w)
     out = np.empty_like(logw)
@@ -108,9 +103,7 @@ def h_star_vector(w: np.ndarray, n: int) -> np.ndarray:
 
 def nile_equivariant_star(summary: SufficientSummary) -> float:
     """The exactly unbiased equivariant estimator ybar * h*(W)."""
-    _require(summary, Kind.NILE)
-    xbar, ybar = summary.components
-    return ybar * h_star(xbar * ybar, summary.n)
+    return summary.evaluate("nile_star")
 
 
 def normalcv_mle_from_sums(sum_x, sum_x2, n: int, c: float):
@@ -157,15 +150,10 @@ def khan_coefficients(n: int, c: float) -> tuple[float, float]:
 
 def khan_linear(summary: SufficientSummary, c: float) -> float:
     """Best unbiased estimator of theta among linear combinations of xbar and s."""
-    _require(summary, Kind.NORMAL_CV)
-    a, b = khan_coefficients(summary.n, c)
-    xbar, s = summary.components
-    return a * xbar + b * s
+    return summary.evaluate("khan_linear", c)
 
 
 def pitman_midrange(summary: SufficientSummary) -> float:
     """(min + max) / 2: the best translation-equivariant estimate under squared loss."""
-    _require(summary, Kind.UNIFORM_LOCATION)
-    lo, hi = summary.components
-    return 0.5 * (lo + hi)
+    return summary.evaluate("pitman_midrange")
 

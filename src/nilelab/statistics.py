@@ -2,8 +2,8 @@
 
 The scalar functions are the Monte Carlo engine evaluated on one replicate:
 ``sufficient`` runs the family's ``families.FAMILIES`` reducer on the sample,
-and ``ancillary``, ``first_order_h`` and ``positive_indicator`` evaluate the
-``verify.STATISTICS`` entry on length-1 arrays.
+and ``SufficientSummary.evaluate`` (with ``ancillary``, ``first_order_h`` and
+``positive_indicator``) evaluates a ``verify.STATISTICS`` entry on length-1 arrays.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class StatId(enum.Enum):
 class SufficientSummary:
     """Minimal sufficient statistic value for one sample: the reduced arrays
     ``families.FAMILIES[kind.value].sufficient`` names, in that order
-    (``s`` is the n-1 divisor standard deviation)."""
+    (``s`` is the n-1 divisor standard deviation) of ``n`` observations."""
 
     kind: Kind
     components: tuple
@@ -37,10 +37,20 @@ class SufficientSummary:
 
     def __post_init__(self):
         family = FAMILIES[self.kind.value]
+        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise InputError(f"sample size must be an integer >= 1, got {self.n!r}")
         if len(self.components) != len(family.sufficient):
             raise InputError(f"{self.kind.value}: expected components {family.sufficient}, "
                              f"got {len(self.components)} values")
         family.check_summary(self.components)
+
+    def evaluate(self, name: str, c: float = 1.0) -> float:
+        """The engine statistic ``name`` on this summary; InputError unless its
+        ``verify.STATISTICS`` row is a function of this family's summary."""
+        row, names = STATISTICS[name], FAMILIES[self.kind.value].sufficient
+        if self.kind.value not in row.families or not set(row.reads) <= set(names):
+            raise InputError(f"{name} is not defined on a {self.kind.value} summary")
+        return _evaluate(name, dict(zip(names, self.components)), self.n, c)
 
 
 @dataclass(frozen=True)
@@ -53,10 +63,10 @@ class AncillaryValue:
             raise InputError("ancillary value must be finite")
 
 
-def _evaluate(name: str, values: dict, n: int = 1) -> float:
+def _evaluate(name: str, values: dict, n: int = 1, c: float = 1.0) -> float:
     """The engine statistic ``name`` on one replicate with reduced ``values``."""
     sim = {k: np.array([v], dtype=float) for k, v in values.items()}
-    return float(STATISTICS[name].compute(sim, math.nan, n, 1.0)[0])
+    return float(STATISTICS[name].compute(sim, math.nan, n, c)[0])
 
 
 def sufficient(obs: ObservationSet) -> SufficientSummary:
@@ -77,8 +87,7 @@ def ancillary(summary: SufficientSummary) -> AncillaryValue:
     family = FAMILIES[summary.kind.value]
     if family.ancillary is None:
         raise InputError(f"no scalar ancillary defined for {summary.kind}")
-    value = _evaluate(family.ancillary, dict(zip(family.sufficient, summary.components)),
-                      summary.n)
+    value = summary.evaluate(family.ancillary)
     if not math.isfinite(value):
         raise DegenerateSampleError(f"{family.ancillary} = {value}: degenerate sample")
     return AncillaryValue(value, StatId(family.ancillary))

@@ -133,8 +133,10 @@ FAMILY_TOKENS = tuple(FAMILIES)
 #: A named statistic: ``compute(sim, theta, n, c)`` over the reduced arrays
 #: ``reads`` (``families.reduce`` names) for each token in ``families``,
 #: defined for n >= ``min_n``; ``target`` maps c to a known parameter-free
-#: mean, which the first-order check compares against.
-Statistic = namedtuple("Statistic", "compute reads families min_n target", defaults=(1, None))
+#: mean, which the first-order check compares against; ``cond_m2(w, theta, n)``
+#: is its closed-form E(g^2 | the family's ancillary = w).
+Statistic = namedtuple("Statistic", "compute reads families min_n target cond_m2",
+                       defaults=(1, None, None))
 
 
 def _normal_cv_ratio(sim, theta, n, c):
@@ -166,9 +168,9 @@ STATISTICS = {
     "sample_mean": Statistic(lambda sim, t, n, c: sim["xbar"], ("xbar",), _SCALAR | _NILE),
     "sample_sd": Statistic(lambda sim, t, n, c: sim["s"], ("s",), _CV, min_n=2),
     "nile_mle": Statistic(lambda sim, t, n, c: np.sqrt(sim["ybar"] / sim["xbar"]), _XY, _NILE),
-    "nile_star": Statistic(
+    "nile_star": Statistic(  # E(g^2 | W = w) = theta^2 E_1(ybar^2 | w) / E_1(ybar | w)^2
         lambda sim, t, n, c: sim["ybar"] * h_star_vector(sim["xbar"] * sim["ybar"], n),
-        _XY, _NILE),
+        _XY, _NILE, cond_m2=lambda w, t, n: t ** 2 * cond_second_moment_ratio(w, n)),
     "nile_inverse_xbar": Statistic(lambda sim, t, n, c: 1.0 / sim["xbar"], ("xbar",), _NILE),
     "khan_linear": Statistic(_khan_linear, _MS, _CV, min_n=2),
     "normalcv_mle": Statistic(
@@ -656,18 +658,20 @@ def rao_zero_cov(g_stat: str, u: ZeroMeanSpec, token: str, config: MCConfig,
 
 def cond_moment_dependence(g_stat: str, token: str, theta: float,
                            config: MCConfig, w_stat: str = "ancillary",
-                           c: float = 1.0, overlay: bool = False) -> VerificationReport:
+                           c: float = 1.0) -> VerificationReport:
     """Bin the ancillary into deciles and test whether E(g^2 | bin) varies.
 
     Verdict ``fail`` (dependence detected) when the spread between the
     extreme bin means exceeds 4x their combined SE; ``pass`` means no
-    dependence was detected.  With ``overlay=True`` (Nile unbiased
-    estimator only) each bin also carries the quadrature prediction
-    theta^2 * E_1(ybar^2|W) / E_1(ybar|W)^2 at the bin center.  A bin of
-    fewer than two replicates raises VerificationError.
+    dependence was detected.  When ``w_stat`` is the family's ancillary and
+    g's row has ``cond_m2`` (``nile_star``), each bin also carries that
+    prediction at the bin center.  A bin of fewer than two replicates raises
+    VerificationError.
     """
     per_point, degenerate = run_grid(token, (theta,), config.n, c, config,
                                      [g_stat, w_stat])
+    predict = (STATISTICS[g_stat].cond_m2
+               if w_stat in ("ancillary", FAMILIES[token].ancillary) else None)
     sim = per_point[0]
     w = sim[w_stat]
     g2 = sim[g_stat] ** 2
@@ -683,8 +687,8 @@ def cond_moment_dependence(g_stat: str, token: str, theta: float,
         m, se = _mean_se(_moments(g2[sel], order=2))
         center = float(np.median(w[sel]))
         stats = {"bin_count": int(sel.sum())}
-        if overlay:
-            pred = theta ** 2 * cond_second_moment_ratio(center, config.n)
+        if predict:
+            pred = predict(center, theta, config.n)
             stats["prediction"] = pred
             stats["prediction_z"] = _z(m - pred, se, "E[g^2|bin]", center)
         bin_means.append(m)

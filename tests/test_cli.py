@@ -191,6 +191,9 @@ BAD_CONFIGS = [
     ("kind = cond-moment\nfamily = uniform_location\n", "field 'estimator'"),
     ("kind = rao\nfamily = normal_unit\nestimator = nile_mle\n", "field 'estimator'"),
     ("kind = rao\nfamily = bivariate_gaussian_corr\n", "field 'family'"),
+    # a family with an exact contrast takes no transform, but the name is still checked
+    ("kind = rao\nfamily = normal_unit\nestimator = sample_mean\ntransform = bogus\n",
+     "field 'transform': unknown transform 'bogus'"),
     ("kind = ancillarity\nfamily = normal_cv\ngrid = -1, -2\n",
      "normal_cv: theta must be finite and > 0, got -1.0"),
     ("kind = first-order\ngrid = 0.5, 1.5\n",
@@ -411,17 +414,17 @@ _FAMILY_DEFAULTS = {
          {"power": 1, "c": 1.0})],
     ("cond-moment", "nile", ""): [
         ("cond_moment_dependence", ("nile_star", "nile", 1.0, _mc((1.0,))),
-         {"w_stat": "ancillary", "c": 1.0, "overlay": True})],
+         {"w_stat": "ancillary", "c": 1.0})],
     ("cond-moment", "bivariate_gaussian_corr", "estimator = xy_product"): "field 'statistic'",
     ("cond-moment", "normal_cv", "estimator = khan_linear"): [
         ("cond_moment_dependence", ("khan_linear", "normal_cv", 1.0, _mc((1.0,))),
-         {"w_stat": "ancillary", "c": 1.0, "overlay": False})],
+         {"w_stat": "ancillary", "c": 1.0})],
     ("cond-moment", "uniform_location", "estimator = pitman_midrange"): [
         ("cond_moment_dependence", ("pitman_midrange", "uniform_location", 1.0, _mc((1.0,))),
-         {"w_stat": "ancillary", "c": 1.0, "overlay": False})],
+         {"w_stat": "ancillary", "c": 1.0})],
     ("cond-moment", "normal_unit", "estimator = sample_mean"): [
         ("cond_moment_dependence", ("sample_mean", "normal_unit", 1.0, _mc((1.0,))),
-         {"w_stat": "diff12", "c": 1.0, "overlay": False})],
+         {"w_stat": "diff12", "c": 1.0})],
 }
 
 

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize, minimize_scalar
 
-from nilelab.estimators import (_table_for, h_star, h_star_vector, khan_coefficients,
+from nilelab.estimators import (_hstar_tables, _table_for, h_star, h_star_vector, khan_coefficients,
                                 khan_linear, nile_equivariant,
                                 nile_equivariant_star, nile_mle,
                                 normalcv_mle, pitman_midrange, s_mean_factor)
-from nilelab.families import Kind, nile, sample
+from nilelab.families import InputError, Kind, nile, sample
 from nilelab.quadrature import (NEAR_SINGULAR_W, NearSingularWarning, cond_moment,
                                 cond_moment_bessel)
 from nilelab.statistics import InsufficientSampleError, SufficientSummary, sufficient
@@ -237,3 +237,69 @@ class TestNormalizedRiskIsThetaFree:
             for j in range(i + 1, 3):
                 z = (risks[i] - risks[j]) / math.hypot(ses[i], ses[j])
                 assert abs(z) < 3.0
+
+
+#: One valid summary of each family, for the scope checks.
+_SUMMARY_OF = {Kind.NILE: (1.0, 2.0), Kind.BIVARIATE_GAUSSIAN_CORR: (4.0, 0.0),
+               Kind.NORMAL_CV: (1.0, 0.5), Kind.UNIFORM_LOCATION: (-0.4, 0.9)}
+
+#: Each scalar estimator as a function of the summary, and the family it is defined on.
+_SCALAR_ESTIMATORS = [
+    (nile_mle, Kind.NILE),
+    (lambda s: nile_equivariant(s, lambda w: 1.0 / (1.0 + w)), Kind.NILE),
+    (nile_equivariant_star, Kind.NILE),
+    (lambda s: khan_linear(s, 0.5), Kind.NORMAL_CV),
+    (pitman_midrange, Kind.UNIFORM_LOCATION)]
+
+
+class TestScalarEstimatorsKeepTheirClosedForms:
+    """Each estimator equals its closed form bit for bit, on the family it is defined on."""
+
+    def test_nile(self):
+        rng = np.random.default_rng(31)
+        h = lambda w: 1.0 / (1.0 + w)
+        for n in (1, 2, 5):
+            for xbar, ybar in rng.uniform(0.05, 20.0, size=(50, 2)):
+                s = _nile_summary(xbar, ybar, n)
+                assert nile_mle(s) == math.sqrt(ybar / xbar)
+                assert nile_equivariant_star(s) == ybar * h_star(xbar * ybar, n)
+                assert nile_equivariant(s, h) == ybar * h(xbar * ybar)
+
+    @pytest.mark.parametrize("c", [0.5, 1.0])
+    def test_khan_linear(self, c):
+        rng = np.random.default_rng(32)
+        for n in (2, 5, 10):
+            a, b = khan_coefficients(n, c)
+            for xbar, s in zip(rng.normal(1.0, 1.0, 50), rng.uniform(0.01, 3.0, 50)):
+                summary = SufficientSummary(Kind.NORMAL_CV, (xbar, s), n)
+                assert khan_linear(summary, c) == a * xbar + b * s
+
+    def test_pitman_midrange(self):
+        rng = np.random.default_rng(33)
+        for lo, hi in np.sort(rng.uniform(-5.0, 5.0, size=(50, 2)), axis=1):
+            s = SufficientSummary(Kind.UNIFORM_LOCATION, (lo, hi), 7)
+            assert pitman_midrange(s) == 0.5 * (lo + hi)
+
+    @pytest.mark.parametrize("estimator,kind", _SCALAR_ESTIMATORS)
+    @pytest.mark.parametrize("other", list(Kind))
+    def test_rejects_a_summary_of_another_family(self, estimator, kind, other):
+        summary = SufficientSummary(other, _SUMMARY_OF[other], 5)
+        if other is kind:
+            assert math.isfinite(estimator(summary))
+        else:
+            with pytest.raises(InputError):
+                estimator(summary)
+
+
+class TestSampleSize:
+    @pytest.mark.parametrize("n", [0, -3, 2.5])
+    def test_h_star_vector_rejects_n_before_building(self, n):
+        with pytest.raises(ValueError, match="sample size"):
+            h_star_vector([1.0], n)
+        assert n not in _hstar_tables
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5])
+    def test_nile_star_summary_rejects_n(self, n):
+        with pytest.raises(InputError, match="sample size"):
+            nile_equivariant_star(_nile_summary(1.0, 2.0, n))
+        assert n not in _hstar_tables

@@ -62,6 +62,37 @@ class TestSufficient:
         with pytest.raises(InputError, match="expected components"):
             SufficientSummary(kind, components, 3)
 
+    @pytest.mark.parametrize("n", [0, -3, 2.5, 3.0, "3", None])
+    def test_summary_needs_integer_sample_size(self, n):
+        with pytest.raises(InputError, match="sample size"):
+            SufficientSummary(Kind.NILE, (1.0, 2.0), n)
+
+    def test_summary_accepts_numpy_integer_sample_size(self):
+        assert ancillary(SufficientSummary(Kind.NILE, (1.0, 2.0), np.int64(3))).value == 2.0
+
+
+class TestEvaluate:
+    def test_row_on_one_replicate(self):
+        summary = SufficientSummary(Kind.NORMAL_CV, (1.5, 0.5), 4)
+        assert summary.evaluate("normal_cv_ratio") == 3.0
+        assert summary.evaluate("sample_sd") == 0.5
+
+    def test_passes_c_through(self):
+        summary = SufficientSummary(Kind.NORMAL_CV, (1.5, 0.5), 4)
+        assert summary.evaluate("khan_linear", 0.5) != summary.evaluate("khan_linear", 1.0)
+
+    @pytest.mark.parametrize("kind,components,name", [
+        (Kind.NILE, (1.0, 2.0), "normal_cv_ratio"),
+        (Kind.NORMAL_CV, (1.0, 2.0), "nile_product"),
+        (Kind.NORMAL_CV, (1.0, 2.0), "nile_inverse_xbar"),
+        (Kind.BIVARIATE_GAUSSIAN_CORR, (4.0, 0.0), "uniform_range"),
+        # defined on the family, but of names the summary does not hold
+        (Kind.UNIFORM_LOCATION, (0.0, 1.0), "sample_mean"),
+        (Kind.NORMAL_CV, (1.0, 2.0), "score")])
+    def test_rejects_row_it_cannot_evaluate(self, kind, components, name):
+        with pytest.raises(InputError, match=f"{name} is not defined on a {kind.value}"):
+            SufficientSummary(kind, components, 5).evaluate(name)
+
 
 class TestAncillary:
     def test_nile_product(self):

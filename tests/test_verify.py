@@ -293,12 +293,25 @@ class TestRaoZeroCov:
 class TestCondMomentDependence:
     def test_star_estimator_second_moment_varies(self):
         rep = cond_moment_dependence("nile_star", "nile", 1.0,
-                                     _cfg(grid=(1.0,), n=1, replicates=200_000),
-                                     overlay=True)
+                                     _cfg(grid=(1.0,), n=1, replicates=200_000))
         assert rep.verdicts["no-dependence"] == "fail"
-        # quadrature overlay tracks the bin means
+        # the row's closed-form prediction tracks the bin means
         for p in rep.points:
             assert abs(p.statistics["prediction_z"]) < 4.0
+
+    @pytest.mark.parametrize("g_stat,token,w_stat,predicted", [
+        ("nile_star", "nile", "ancillary", True),
+        ("nile_star", "nile", "nile_product", True),  # the family's ancillary by name
+        ("nile_star", "nile", "sample_mean", False),  # not the ancillary
+        ("nile_mle", "nile", "ancillary", False),     # its row gives no prediction
+        ("khan_linear", "normal_cv", "ancillary", False)])
+    def test_prediction_is_drawn_from_the_row(self, g_stat, token, w_stat, predicted):
+        rep = cond_moment_dependence(g_stat, token, 1.0, _cfg(grid=(1.0,), replicates=2000),
+                                     w_stat=w_stat)
+        for p in rep.points:
+            assert ("prediction" in p.statistics) is predicted
+            if predicted:
+                assert p.statistics["prediction"] == STATISTICS[g_stat].cond_m2(p.param, 1.0, 5)
 
     def test_fixture_shows_no_dependence(self):
         rep = cond_moment_dependence("sample_mean", "normal_unit", 1.0,
