@@ -46,10 +46,13 @@ class SufficientSummary:
 
     def evaluate(self, name: str, c: float = 1.0) -> float:
         """The engine statistic ``name`` on this summary; InputError unless its
-        ``verify.STATISTICS`` row is a function of this family's summary."""
+        ``verify.STATISTICS`` row is a function of this family's summary and
+        is defined at its sample size."""
         row, names = STATISTICS[name], FAMILIES[self.kind.value].sufficient
         if self.kind.value not in row.families or not set(row.reads) <= set(names):
             raise InputError(f"{name} is not defined on a {self.kind.value} summary")
+        if self.n < row.min_n:
+            raise InputError(f"statistic {name!r} needs n >= {row.min_n}, got n = {self.n}")
         return _evaluate(name, dict(zip(names, self.components)), self.n, c)
 
 

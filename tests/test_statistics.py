@@ -93,6 +93,17 @@ class TestEvaluate:
         with pytest.raises(InputError, match=f"{name} is not defined on a {kind.value}"):
             SufficientSummary(kind, components, 5).evaluate(name)
 
+    @pytest.mark.parametrize("name", ["normal_cv_ratio", "sample_sd", "khan_linear"])
+    def test_rejects_sample_size_below_the_rows_min_n(self, name):
+        summary = SufficientSummary(Kind.NORMAL_CV, (1.0, 0.5), 1)
+        with pytest.raises(InputError, match=f"'{name}' needs n >= 2, got n = 1"):
+            summary.evaluate(name)
+        assert summary.evaluate("sample_mean") == 1.0
+
+    def test_ancillary_needs_the_rows_min_n(self):
+        with pytest.raises(InputError, match="needs n >= 2"):
+            ancillary(SufficientSummary(Kind.NORMAL_CV, (1.0, 0.5), 1))
+
 
 class TestAncillary:
     def test_nile_product(self):

@@ -151,6 +151,75 @@ class TestKsDistance:
             ks_2samp(a, b)
 
 
+def _full_search_ks(a, b):
+    """The KS distance from a search of every point of both sorted samples."""
+    n1, n2 = a.size, b.size
+    d_ab = np.arange(1, n1 + 1) / n1 - np.searchsorted(b, a, side="right") / n2
+    d_ba = np.arange(1, n2 + 1) / n2 - np.searchsorted(a, b, side="right") / n1
+    return max(0.0, float(d_ab.max()), float(d_ba.max()))
+
+
+_S = verify._KS_STRIDE
+
+
+class TestKsBoundedSearch:
+    """ks_2samp searches only the probe blocks that can hold the supremum;
+    its float must equal the full search's, whatever the sizes and ties."""
+
+    @pytest.mark.parametrize("n1", [_S - 1, _S, _S + 1, 2 * _S, 7 * _S + 1])
+    @pytest.mark.parametrize("n2", [1, 2, _S - 1, _S + 1, 3 * _S + 5, 4000])
+    @pytest.mark.parametrize("draw", ["continuous", "small-integers", "0-1", "shifted"])
+    def test_sizes_around_the_probe_stride(self, n1, n2, draw):
+        rng = np.random.default_rng([n1, n2, len(draw)])
+        if draw == "continuous":
+            a, b = rng.normal(size=n1), rng.normal(size=n2)
+        elif draw == "small-integers":
+            a, b = rng.integers(0, 6, size=n1) * 1.0, rng.integers(0, 6, size=n2) * 1.0
+        elif draw == "0-1":
+            a, b = (rng.random(n1) < 0.7) * 1.0, (rng.random(n2) < 0.6) * 1.0
+        else:
+            a, b = rng.normal(size=n1), rng.normal(0.4, 1.0, size=n2)
+        a, b = np.sort(a), np.sort(b)
+        assert ks_2samp(a, b) == _full_search_ks(a, b)
+        assert ks_2samp(b, a) == _full_search_ks(b, a)
+
+    def test_supremum_at_the_last_point_before_a_probe(self):
+        # a = 0..2S: probes at 0, S and 2S.  No b lies below a[S - 1], so the
+        # largest term is S/(2S + 1) at k = S - 1, just before the probe at S;
+        # the 2S - 1 of 2(2S + 1) points of b above a[2S] put the probes' best
+        # term between it and the term of a block bound one index short
+        n1 = 2 * _S + 1
+        a = np.arange(n1, dtype=float)
+        b = np.concatenate([np.full(2 * n1 - (2 * _S - 1), _S - 0.5),
+                            np.full(2 * _S - 1, n1 + 1.0)])
+        d = ks_2samp(a, b)
+        assert d == _full_search_ks(a, b) == _S / n1
+
+    @pytest.mark.parametrize("values", [2, 5, 40])
+    def test_heavy_ties_at_1e5(self, values):
+        rng = np.random.default_rng(values)
+        for n1, n2 in [(100_000, 100_000), (100_000, 99_743)]:
+            a = np.sort(rng.integers(0, values, size=n1) * 1.0)
+            b = np.sort(rng.integers(0, values, size=n2) * 1.0)
+            assert ks_2samp(a, b) == _full_search_ks(a, b)
+
+    def test_many_small_random_pairs(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(400):
+            n1, n2 = rng.integers(1, 4 * _S, size=2)
+            values = rng.choice([2, 10, 1000])
+            a = np.sort(rng.integers(0, values, size=n1) * 1.0)
+            b = np.sort(rng.integers(0, values, size=n2) + rng.choice([0.0, 0.5]))
+            assert ks_2samp(a, b) == _full_search_ks(a, b)
+
+    @pytest.mark.parametrize("shift", [0.0, 0.002, 0.05])
+    def test_pairs_at_1e6(self, shift):
+        rng = np.random.default_rng(6)
+        a = np.sort(rng.standard_gamma(5.0, size=1_000_000))
+        b = np.sort(rng.standard_gamma(5.0, size=1_000_000) + shift)
+        assert ks_2samp(a, b) == _full_search_ks(a, b)
+
+
 @pytest.mark.parametrize("token,statistic,grid,n", [
     ("nile", "nile_product", (0.5, 1.0, 4.0), 5),
     ("uniform_location", "uniform_range", (-2.0, 0.0, 3.0), 4),
@@ -231,6 +300,40 @@ class TestChi2Contingency:
                               _quantile_bins(sim["sample_sd"], 2)), 1)
             stat, p = _scipy_chi2(table)
             assert (point.statistics["chi2"], point.statistics["p_value"]) == (stat, p)
+
+    @pytest.mark.parametrize("stat_a,stat_b,replicates", [
+        ("sample_mean", "sample_sd", 4_000),
+        # a 0/1 margin: its tied quantiles leave bins empty, which are dropped
+        ("positive_indicator", "sample_sd", 4_000),
+        ("sample_sd", "positive_indicator", 300)])
+    def test_table_equals_the_add_at_count(self, monkeypatch, stat_a, stat_b, replicates):
+        grid = (0.5, 2.0)
+        cfg = _cfg(seed=8, replicates=replicates, grid=grid, n=3)
+        tables = []
+        monkeypatch.setattr(verify, "chi2_contingency",
+                            lambda t: tables.append(t) or chi2_contingency(t))
+        rep = verify_independence(stat_a, stat_b, "normal_cv", cfg)
+        k = rep.statistics["bins"]
+        per_point, _ = run_grid("normal_cv", grid, 3, 1.0, cfg, [stat_a, stat_b])
+        expected = []
+        for sim in per_point:
+            ia, ib = _quantile_bins(sim[stat_a], k), _quantile_bins(sim[stat_b], k)
+            table = np.zeros((k, k), dtype=np.int64)
+            np.add.at(table, (ia, ib), 1)
+            expected.append(table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0])
+        assert len(tables) == len(expected)
+        for got, want in zip(tables, expected):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        if "positive_indicator" in (stat_a, stat_b):
+            assert all(sorted(t.shape) == [2, k] for t in tables)
+
+    def test_quantile_bins_equal_those_of_the_unsorted_sample(self):
+        rng = np.random.default_rng(4)
+        for arr in (rng.normal(size=10_001), rng.integers(0, 3, size=5_000) * 1.0):
+            for k in (2, 7, 10):
+                q = np.linspace(0.0, 1.0, k + 1)[1:-1]
+                expected = np.searchsorted(np.unique(np.quantile(arr, q)), arr, side="right")
+                assert np.array_equal(_quantile_bins(arr, k), expected)
 
 
 class TestIndependence:
