@@ -7,7 +7,8 @@ Subcommands:
   ``<name>.table.csv`` into the output directory.
 * ``list``          -- catalog of experiment kinds with their claims and
   default configs.
-* ``selftest``      -- the RNG-free quadrature and constraint suites.
+* ``selftest``      -- every RNG-free experiment kind (the quadrature and
+  constraint suites).
 
 Exit codes: 0 all verdicts pass, 2 any verdict failed, 3 any verdict
 inconclusive, 1 execution error (bad config, unwritable output, ...).
@@ -371,9 +372,9 @@ def cmd_list(_args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    # each report comes from, and is named after, its experiment kind
+    # every kind that draws no replicates; each report is named after its kind
     reports = [(run_experiment(ExperimentConfig(kind)), kind)
-               for kind in ("quadrature-selftest", "constraints")]
+               for kind, row in EXPERIMENTS.items() if "replicates" not in row.keys]
     if args.out is not None and not _write_all(reports, Path(args.out)):
         return EXIT_ERROR
     code = EXIT_PASS

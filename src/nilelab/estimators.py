@@ -12,8 +12,8 @@ Khan's (a, b) here.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -42,7 +42,8 @@ def nile_equivariant(summary: SufficientSummary, h) -> float:
 
 # h*: the unique h making ybar*h(W) unbiased, h*(w) = 1 / E_1(ybar | W = w),
 # with E_1(ybar | W = w) = sqrt(w) K_1(x) / K_0(x) at x = 2n sqrt(w).  Each
-# sample size gets a lazily built log-log cubic spline over a wide w-grid; its
+# sample size gets a log-log cubic spline over a wide w-grid, built on first use
+# and cached (threads that miss together each build the same table); its
 # nodes come from one vectorised call of scipy's exponentially scaled Bessel
 # function kve (the exp(x) scaling cancels in the ratio), which is independent
 # of both routes in ``quadrature``, so either can check the table.  Off-grid
@@ -52,11 +53,8 @@ _GRID_LOG10_LO = -8.0
 _LOGW_LO, _LOGW_HI = _GRID_LOG10_LO * math.log(10.0), 6.0 * math.log(10.0)
 _GRID_POINTS = 2001
 
-_hstar_tables: dict[int, CubicSpline] = {}
-_hstar_lock = threading.Lock()
-
-
-def _build_table(n: int) -> CubicSpline:
+@functools.cache
+def _table_for(n: int) -> CubicSpline:
     logw = np.linspace(_LOGW_LO, _LOGW_HI, _GRID_POINTS)
     x = 2.0 * n * np.exp(0.5 * logw)
     logm = 0.5 * logw + np.log(kve(1, x) / kve(0, x))
@@ -67,17 +65,6 @@ def _build_table(n: int) -> CubicSpline:
             f"h* table for n = {n}: scipy.special.kve cannot resolve 2n sqrt(w) "
             f"up to {x[-1]:g} (largest resolved argument: {largest})")
     return CubicSpline(logw, logm)
-
-
-def _table_for(n: int) -> CubicSpline:
-    table = _hstar_tables.get(n)
-    if table is None:
-        with _hstar_lock:
-            table = _hstar_tables.get(n)
-            if table is None:
-                table = _build_table(n)
-                _hstar_tables[n] = table
-    return table
 
 
 def h_star(w: float, n: int) -> float:

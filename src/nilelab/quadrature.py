@@ -23,12 +23,11 @@ the other in the test suite.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from scipy.integrate import quad
 
-#: Relative tolerance used when no explicit tolerance is given.
+#: Relative tolerance of the adaptive quadrature.
 DEFAULT_TOL = 1e-10
 
 #: Integrand values below this fraction of the peak are truncated away.
@@ -37,16 +36,9 @@ TRUNCATION_RATIO = 1e-18
 #: Highest conditional-moment order supported.
 MAX_MOMENT_ORDER = 6
 
-#: Below this w the denominator K_0 is close to its logarithmic singularity.
-NEAR_SINGULAR_W = 1e-8
-
 
 class QuadratureFailure(RuntimeError):
     """Adaptive quadrature did not reach the requested tolerance."""
-
-
-class NearSingularWarning(UserWarning):
-    """Requested w is inside the near-singular band around w = 0."""
 
 
 @dataclass(frozen=True)
@@ -69,63 +61,51 @@ class QuadratureResult:
     evaluations: int
 
 
-def _log_integrand_peak(nu: float, a: float, b: float) -> float:
-    # After z = e^t the integrand is exp(g(t)) with g(t) = nu*t - a e^-t - b e^t.
-    # g'(t) = 0 at e^t = (nu + sqrt(nu^2 + 4ab)) / (2b).
-    return math.log((nu + math.sqrt(nu * nu + 4.0 * a * b)) / (2.0 * b))
-
-
-def _truncation_bounds(nu: float, a: float, b: float) -> tuple[float, float]:
-    """Interval outside which exp(g(t)) < TRUNCATION_RATIO * peak."""
-    t_star = _log_integrand_peak(nu, a, b)
-
-    def g(t):
-        return nu * t - a * math.exp(-t) - b * math.exp(t)
-
-    cutoff = g(t_star) + math.log(TRUNCATION_RATIO)
-    lo = t_star
-    step = 1.0
-    while g(lo - step) > cutoff:
-        step *= 2.0
-    lo -= step
-    hi = t_star
-    step = 1.0
-    while g(hi + step) > cutoff:
-        step *= 2.0
-    hi += step
-    return lo, hi
-
-
-def _laplace_scaled(spec: LaplaceIntegralSpec, tol: float = DEFAULT_TOL):
+def _laplace_scaled(spec: LaplaceIntegralSpec):
     """Evaluate I(nu, a, b) as (scaled_value, log_scale, scaled_abs_err, neval).
 
     The peak of the t-space integrand is factored out, so scaled_value is
     O(1) even when the integral itself under- or overflows double range.
     """
-    if not (1e-14 <= tol <= 1e-2):
-        raise ValueError(f"tol must lie in [1e-14, 1e-2], got {tol}")
     nu, a, b = spec.nu, spec.a, spec.b
-    lo, hi = _truncation_bounds(nu, a, b)
-    t_star = _log_integrand_peak(nu, a, b)
-    g_star = nu * t_star - a * math.exp(-t_star) - b * math.exp(t_star)
+    # After z = e^t the integrand is exp(g(t)) with g(t) = nu*t - a e^-t - b e^t.
+    # g'(t) = 0 at e^t = (nu + sqrt(nu^2 + 4ab)) / (2b).
+    root = math.sqrt(nu * nu + 4.0 * a * b)
+    top = nu + root
+    if top == 0.0:  # nu < 0 and 4ab << nu^2: the sum cancels, this equal form does not
+        top = 4.0 * a * b / (root - nu)
+    t_star = math.log(top / (2.0 * b))
+
+    def g(t):
+        return nu * t - a * math.exp(-t) - b * math.exp(t)
+
+    # Truncate each side, in doubling steps, where exp(g) < TRUNCATION_RATIO * peak.
+    g_star = g(t_star)
+    cutoff = g_star + math.log(TRUNCATION_RATIO)
+    bounds = []
+    for side in (-1.0, 1.0):
+        step = 1.0
+        while g(t_star + side * step) > cutoff:
+            step *= 2.0
+        bounds.append(t_star + side * step)
 
     def f(t):
         return math.exp(nu * t - a * math.exp(-t) - b * math.exp(t) - g_star)
 
-    value, abs_err, info = quad(f, lo, hi, epsabs=0.0, epsrel=tol,
+    value, abs_err, info = quad(f, *bounds, epsabs=0.0, epsrel=DEFAULT_TOL,
                                 limit=200, full_output=True)[:3]
     neval = int(info["neval"])
     if not value > 0:  # the integrand is positive, so quad missed its mass
         raise QuadratureFailure(f"quadrature of I({nu:g}, {a:g}, {b:g}) gave {value:g}")
-    if abs_err > 10.0 * tol * abs(value):
+    if abs_err > 10.0 * DEFAULT_TOL * abs(value):
         raise QuadratureFailure(
-            f"relative error {abs_err / abs(value):.3e} exceeds tol {tol:.3e}")
+            f"relative error {abs_err / abs(value):.3e} exceeds tol {DEFAULT_TOL:.3e}")
     return value, g_star, abs_err, neval
 
 
-def laplace_integral(spec: LaplaceIntegralSpec, tol: float = DEFAULT_TOL) -> QuadratureResult:
-    """Adaptive evaluation of I(nu, a, b) with relative tolerance ``tol``."""
-    value, log_scale, abs_err, neval = _laplace_scaled(spec, tol)
+def laplace_integral(spec: LaplaceIntegralSpec) -> QuadratureResult:
+    """Adaptive evaluation of I(nu, a, b) with relative tolerance ``DEFAULT_TOL``."""
+    value, log_scale, abs_err, neval = _laplace_scaled(spec)
     scale = math.exp(log_scale)
     return QuadratureResult(value * scale, abs_err * scale, neval)
 
@@ -184,11 +164,6 @@ def _check_moment_args(m: int, w: float, n: int):
         raise ValueError(f"w must be positive, got {w}")
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    if w < NEAR_SINGULAR_W:
-        warnings.warn(
-            f"w={w} is below {NEAR_SINGULAR_W}; the conditioning density is "
-            "near its logarithmic singularity and results lose accuracy",
-            NearSingularWarning, stacklevel=3)
 
 
 def cond_moment(m: int, w: float, n: int) -> float:

@@ -307,6 +307,11 @@ def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names, *,
         bad = bad if bad is not None and bad.any() else None
         dropped = 0 if bad is None else int(bad.sum())
         vals = {name: stat.compute(sim, grid[gi], n, c) for name, stat in stats.items()}
+        for name, v in vals.items():  # e.g. an overflow at an extreme theta
+            finite = np.isfinite(v)
+            if not (finite.all() or (bad is not None and (finite | bad).all())):
+                raise VerificationError(f"statistic {name!r} is not finite on a replicate "
+                                        f"at theta={grid[gi]:g}")
         if moments_of is None:
             for name, v in vals.items():
                 out[gi][name][starts[ci]:starts[ci + 1]] = v
@@ -713,25 +718,28 @@ def cond_moment_dependence(g_stat: str, token: str, theta: float,
     if fewest < 2:
         raise VerificationError(f"a decile bin of {w_stat} at theta={theta:g} holds "
                                 f"{fewest} replicates; its mean cannot be tested")
-    points = []
-    bin_means, bin_ses = [], []
+    bins = []  # (mean, SE, center, count) of g^2 in each decile bin of w
     for b in range(10):
         sel = idx == b
-        m, se = _mean_se(_moments(g2[sel], order=2))
-        center = float(np.median(w[sel]))
-        stats = {"bin_count": int(sel.sum())}
+        bins.append((*_mean_se(_moments(g2[sel], order=2)), float(np.median(w[sel])),
+                     int(sel.sum())))
+    bin_means = [m for m, *_ in bins]
+    i_lo = int(np.argmin(bin_means))
+    i_hi = int(np.argmax(bin_means))
+    spread = bin_means[i_hi] - bin_means[i_lo]
+    spread_se = math.sqrt(bins[i_hi][1] ** 2 + bins[i_lo][1] ** 2)
+    if not (math.isfinite(spread) and math.isfinite(spread_se)):  # e.g. g^2 overflowed
+        raise VerificationError(f"spread of E[g^2|bin] at theta={theta:g} is {spread:g} "
+                                f"(SE {spread_se:g}); it cannot be tested")
+    points = []
+    for m, se, center, count in bins:
+        stats = {"bin_count": count}
         if predict:
             pred = predict(center, theta, config.n)
             stats["prediction"] = pred
             stats["prediction_z"] = _z(m - pred, se, "E[g^2|bin]", center)
-        bin_means.append(m)
-        bin_ses.append(se)
         points.append(GridPointResult(param=center, estimates={"E[g^2|bin]": m},
                                       se={"E[g^2|bin]": se}, statistics=stats))
-    i_lo = int(np.argmin(bin_means))
-    i_hi = int(np.argmax(bin_means))
-    spread = bin_means[i_hi] - bin_means[i_lo]
-    spread_se = math.sqrt(bin_ses[i_hi] ** 2 + bin_ses[i_lo] ** 2)
     depends = spread > 4.0 * spread_se
     return VerificationReport(
         claim=f"conditional second moment of {g_stat} given {w_stat} for {token}",
@@ -777,6 +785,9 @@ def variance_table(estimators, token: str, config: MCConfig,
             moments = _moments(sim[name])
             m, m_se = _mean_se(moments)
             var, var_se = _var_se(moments)
+            if not (math.isfinite(m) and math.isfinite(var)):
+                raise VerificationError(f"{name} at theta={t:g} has mean {m:g} and variance "
+                                        f"{var:g}; a table needs both finite")
             est[f"{name}.bias"] = m - t
             se[f"{name}.bias"] = m_se
             est[f"{name}.variance"] = var

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nilelab
-from nilelab import verify
+from nilelab import cli, verify
 from nilelab.cli import (EXPERIMENT_KINDS, EXPERIMENTS, ConfigError, ExperimentConfig,
                          format_config, list_experiments, main, parse_config,
                          run_experiment)
@@ -97,6 +97,17 @@ class TestListAndSelftest:
         assert names == [f"{kind}.{ext}" for kind in ("constraints", "quadrature-selftest")
                          for ext in ("report.json", "table.csv")]
         assert all(kind in EXPERIMENT_KINDS for kind in ("constraints", "quadrature-selftest"))
+
+    def test_selftest_runs_every_kind_that_draws_no_replicates(self, capsys, monkeypatch):
+        rows = dict(EXPERIMENTS)
+        rows["echo"] = rows["constraints"]._replace(
+            run=lambda cfg: dataclasses.replace(rows["constraints"].run(cfg),
+                                                verdicts={"echoed": "pass"}))
+        monkeypatch.setattr(cli, "EXPERIMENTS", rows)
+        assert main(["selftest"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "echoed: pass"
+        assert len(out) == 5  # two quadrature, two constraints verdicts, then echo's
 
 
 def _write(tmp_path, text, name="exp.cfg"):
@@ -291,6 +302,42 @@ def test_quadrature_failure_exits_one_with_error_line(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: h* table for n = 1000000: ")
     assert not list(out.glob("*"))
+
+
+#: Configs whose statistics overflow: each reported "pass" or raised OverflowError.
+OVERFLOW_CONFIGS = [
+    ("kind = cond-moment\nestimator = nile_mle\ntheta = 1e160\nreplicates = 20000\n",
+     "error: statistic 'nile_mle' is not finite on a replicate at theta=1e+160"),
+    ("kind = cond-moment\nestimator = nile_star\nstatistic = sample_mean\ntheta = 1e155\n"
+     "replicates = 20000\n", "error: spread of E[g^2|bin] at theta=1e+155 is nan"),
+    ("kind = cond-moment\ntheta = 1e155\nreplicates = 20000\n",
+     "error: spread of E[g^2|bin] at theta=1e+155 is nan"),
+    ("kind = independence\nfamily = nile\nstat_a = nile_mle\nstat_b = nile_product\n"
+     "grid = 1e160\nreplicates = 20000\n",
+     "error: statistic 'nile_mle' is not finite on a replicate at theta=1e+160"),
+    ("kind = variance-table\ngrid = 1e160\nreplicates = 2000\n",
+     "error: statistic 'nile_mle' is not finite on a replicate at theta=1e+160"),
+    ("kind = variance-table\nestimators = nile_star\ngrid = 1e155\nreplicates = 2000\n",
+     "error: nile_star at theta=1e+155 has mean "),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows themselves
+@pytest.mark.parametrize("text,message", OVERFLOW_CONFIGS)
+def test_overflow_exits_one_with_error_line(tmp_path, capsys, text, message):
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(message)
+    assert not list(out.glob("*"))
+
+
+def test_cond_moment_below_the_table_grid_gives_no_warning(tmp_path, capsys):
+    # at this seed h* falls back to quadrature at w = 4.3e-9, under the table's grid
+    cfg = _write(tmp_path, "kind = cond-moment\nn = 1\nreplicates = 100000\n")
+    assert main(["run", str(cfg), "--seed", "36", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ""
 
 
 def test_cond_moment_at_large_n_reports(tmp_path, capsys):
