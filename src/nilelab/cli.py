@@ -276,6 +276,8 @@ def run_experiment(cfg: ExperimentConfig) -> verify.VerificationReport:
         raise ConfigError(str(exc)) from None
     except QuadratureFailure as exc:  # an integral the adaptive quadrature cannot resolve
         raise verify.VerificationError(str(exc)) from None
+    except OverflowError as exc:  # a float operation at an extreme parameter
+        raise verify.VerificationError(f"float overflow: {exc.args[-1]}") from None
 
 
 def _fmt(value) -> str:

@@ -1,7 +1,7 @@
 """Population models: every fact of a family is in its one ``FAMILIES`` row.
 
-Four families share the same incomplete-minimal-sufficient-statistic
-structure studied by the rest of the package:
+Five families, the first four with the incomplete minimal sufficient
+statistic studied by the rest of the package:
 
 * ``Nile``                -- f(x, y) = exp(-(x*theta + y/theta)) on the
                              positive quadrant, theta > 0.
@@ -10,6 +10,7 @@ structure studied by the rest of the package:
 * ``NormalCV``            -- N(theta, (c*theta)^2) with theta > 0 and a
                              known coefficient of variation c.
 * ``UniformLocation``     -- U(theta - 1, theta + 1), theta real.
+* ``NormalUnit``          -- N(theta, 1), the positive control (complete).
 """
 
 from __future__ import annotations
@@ -20,13 +21,6 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-class Kind(enum.Enum):
-    NILE = "nile"
-    BIVARIATE_GAUSSIAN_CORR = "bivariate_gaussian_corr"
-    NORMAL_CV = "normal_cv"
-    UNIFORM_LOCATION = "uniform_location"
 
 
 class DomainError(ValueError):
@@ -238,7 +232,7 @@ def _direct_uniform(theta, c, rng, size, n):
     return {"lo": (theta - 1.0) + 2.0 * lo, "hi": (theta - 1.0) + 2.0 * hi}
 
 
-#: Keyed by ``Kind`` value, plus "normal_unit": the N(theta, 1) positive-control
+#: Keyed by family token.  "normal_unit" is the N(theta, 1) positive-control
 #: fixture of the engine (complete sufficient statistic, so every
 #: UMVUE-condition check must come out clean on it).
 FAMILIES = {
@@ -295,6 +289,9 @@ FAMILIES = {
         _SCALAR, _domain("normal_unit", *_FINITE), ("xbar",), None,
         density=lambda x, theta, c: _density_normal(x, theta, 1.0), contrast="diff12"),
 }
+
+#: One member per ``FAMILIES`` row, named after its token (``Kind.NILE`` is "nile").
+Kind = enum.Enum("Kind", [(token.upper(), token) for token in FAMILIES], module=__name__)
 
 
 def nile(theta: float) -> FamilyModel:

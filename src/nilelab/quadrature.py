@@ -76,8 +76,11 @@ def _laplace_scaled(spec: LaplaceIntegralSpec):
         top = 4.0 * a * b / (root - nu)
     t_star = math.log(top / (2.0 * b))
 
-    def g(t):
-        return nu * t - a * math.exp(-t) - b * math.exp(t)
+    def g(t):  # -inf where exp(-t) or exp(t) leaves the float range (small or large w)
+        try:
+            return nu * t - a * math.exp(-t) - b * math.exp(t)
+        except OverflowError:
+            return -math.inf
 
     # Truncate each side, in doubling steps, where exp(g) < TRUNCATION_RATIO * peak.
     g_star = g(t_star)
@@ -90,7 +93,10 @@ def _laplace_scaled(spec: LaplaceIntegralSpec):
         bounds.append(t_star + side * step)
 
     def f(t):
-        return math.exp(nu * t - a * math.exp(-t) - b * math.exp(t) - g_star)
+        try:
+            return math.exp(nu * t - a * math.exp(-t) - b * math.exp(t) - g_star)
+        except OverflowError:
+            return 0.0
 
     value, abs_err, info = quad(f, *bounds, epsabs=0.0, epsrel=DEFAULT_TOL,
                                 limit=200, full_output=True)[:3]

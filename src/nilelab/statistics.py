@@ -19,10 +19,9 @@ from .families import (FAMILIES, DegenerateSampleError, InputError,  # noqa: F40
 from .verify import STATISTICS
 
 
-class StatId(enum.Enum):
-    NILE_PRODUCT = "nile_product"          # W = xbar * ybar
-    NORMAL_CV_RATIO = "normal_cv_ratio"    # W = xbar / s
-    UNIFORM_RANGE = "uniform_range"        # W = x_(n) - x_(1)
+#: One member per declared ``ancillary`` of a ``FAMILIES`` row, in row order.
+StatId = enum.Enum("StatId", [(name.upper(), name) for name in dict.fromkeys(
+    f.ancillary for f in FAMILIES.values() if f.ancillary is not None)], module=__name__)
 
 
 @dataclass(frozen=True)

@@ -785,9 +785,9 @@ def variance_table(estimators, token: str, config: MCConfig,
             moments = _moments(sim[name])
             m, m_se = _mean_se(moments)
             var, var_se = _var_se(moments)
-            if not (math.isfinite(m) and math.isfinite(var)):
-                raise VerificationError(f"{name} at theta={t:g} has mean {m:g} and variance "
-                                        f"{var:g}; a table needs both finite")
+            if not all(map(math.isfinite, (m, m_se, var, var_se))):
+                raise VerificationError(f"{name} at theta={t:g} has mean {m:g} (SE {m_se:g}) and "
+                                        f"variance {var:g} (SE {var_se:g}); a table needs all finite")
             est[f"{name}.bias"] = m - t
             se[f"{name}.bias"] = m_se
             est[f"{name}.variance"] = var

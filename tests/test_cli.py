@@ -218,6 +218,11 @@ BAD_CONFIGS = [
      "line 2: field 'family': kind 'fisher-info' does not read it"),
     ("kind = first-order\nn = 7\n", "line 2: field 'n': kind 'first-order' does not read it"),
     ("kind = cond-moment\ngrid = 1, 2\n", "field 'grid'"),
+    ("kind = ancillarity\nn = 0\n", "field 'n': must be >= 1, got 0"),
+    ("kind = ancillarity\nworkers = 0\n", "field 'workers': must be >= 1, got 0"),
+    ("kind = rao\npower = 7\n", "field 'power': must be in [1, 6], got 7"),
+    ("kind = ancillarity\ngrid = 1\n", "field 'grid': ancillarity needs at least 2 grid points"),
+    ("kind = ancillarity\nstatistic = bogus\n", "field 'statistic': unknown statistic 'bogus'"),
     ("kind = rao\ntheta = 2\n", "field 'theta'"),
     # xbar / s < 0 whenever xbar < 0: the log is never taken (a warning fails the run)
     ("kind = rao\nfamily = normal_cv\nestimator = khan_linear\ngrid = 0.5,2\npower = 2\n",
@@ -319,6 +324,15 @@ OVERFLOW_CONFIGS = [
      "error: statistic 'nile_mle' is not finite on a replicate at theta=1e+160"),
     ("kind = variance-table\nestimators = nile_star\ngrid = 1e155\nreplicates = 2000\n",
      "error: nile_star at theta=1e+155 has mean "),
+    # finite estimates whose SE overflows, and float overflows outside numpy
+    ("kind = variance-table\ngrid = 1e150\nestimators = nile_mle,nile_star\nreplicates = 2000\n",
+     "error: nile_mle at theta=1e+150 has mean "),
+    ("kind = variance-table\nfamily = normal_cv\ngrid = 1e150\n"
+     "estimators = khan_linear,normalcv_mle\nreplicates = 2000\n",
+     "error: khan_linear at theta=1e+150 has mean "),
+    ("kind = fisher-info\ntheta = 1e150\nreplicates = 2000\n", "error: float overflow: "),
+    ("kind = rao\nfamily = normal_cv\nestimator = khan_linear\ntransform = identity\n"
+     "grid = 1e200\nreplicates = 2000\n", "error: float overflow: "),
 ]
 
 

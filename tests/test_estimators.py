@@ -256,7 +256,8 @@ class TestNormalizedRiskIsThetaFree:
 
 #: One valid summary of each family, for the scope checks.
 _SUMMARY_OF = {Kind.NILE: (1.0, 2.0), Kind.BIVARIATE_GAUSSIAN_CORR: (4.0, 0.0),
-               Kind.NORMAL_CV: (1.0, 0.5), Kind.UNIFORM_LOCATION: (-0.4, 0.9)}
+               Kind.NORMAL_CV: (1.0, 0.5), Kind.UNIFORM_LOCATION: (-0.4, 0.9),
+               Kind.NORMAL_UNIT: (0.3,)}
 
 #: Each scalar estimator as a function of the summary, and the family it is defined on.
 _SCALAR_ESTIMATORS = [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import kve
 
+from nilelab.estimators import h_star
 from nilelab.quadrature import (LaplaceIntegralSpec, QuadratureFailure, bessel_k, cond_moment, cond_moment_bessel,
                                 cond_second_moment_ratio, laplace_integral,
                                 laplace_integral_bessel)
@@ -116,18 +117,26 @@ class TestCondMoment:
         with pytest.raises(ValueError):
             cond_moment(1, -1.0, 1)
 
-    @pytest.mark.parametrize("w", [1e-9, 1e-17, 1e-20, 1e-80])
+    @pytest.mark.parametrize("w", [1e-9, 1e-17, 1e-20, 1e-80, 1e-230, 1e-260, 1e-300])
     @pytest.mark.parametrize("n", [1, 5, 10])
     def test_small_w_matches_kve(self, w, n):
-        # near w = 0, nu + sqrt(nu^2 + 4ab) cancels in the peak of I(-m, n, n w)
+        # near w = 0, nu + sqrt(nu^2 + 4ab) cancels in the peak of I(-m, n, n w), and
+        # the window reaches t where exp(t) overflows.  kve(6, x) overflows there too,
+        # so r_m = w^(m/2) K_m(x) / K_0(x) comes from K_{m+1} = K_{m-1} + (2m/x) K_m:
+        # r_{m+1} = w r_{m-1} + (m/n) r_m, from r_0 = 1 and r_1 by kve
         x = 2.0 * n * math.sqrt(w)
+        want = [1.0, math.sqrt(w) * kve(1, x) / kve(0, x)]
         for m in range(1, 7):
-            want = w ** (m / 2.0) * kve(m, x) / kve(0, x)
-            assert cond_moment(m, w, n) == pytest.approx(want, rel=1e-12)
+            want.append(w * want[m - 1] + (m / n) * want[m])
+            assert cond_moment(m, w, n) == pytest.approx(want[m], rel=1e-12)
 
     def test_far_below_the_table_grid(self):
         for m in (1, 2):
             assert math.isfinite(cond_moment(m, 1e-200, 1))
+            assert math.isfinite(cond_moment(m, 1e-260, 5))
+        assert math.isfinite(h_star(1e-260, 1))
+        assert math.isfinite(cond_second_moment_ratio(1e-260, 1))
+        assert math.isfinite(laplace_integral(LaplaceIntegralSpec(0.0, 1.0, 1e-260)).value)
 
 
 class TestSecondMomentRatio:

@@ -9,7 +9,7 @@ from nilelab.canonical import NotExponentialError, natural_params
 from nilelab.families import (FAMILIES, DomainError, FamilyModel, Kind, density, reduce,
                               sample)
 from nilelab.selftest import CONSTRAINT_GRID_POINTS, CONSTRAINT_TOL
-from nilelab.statistics import sufficient
+from nilelab.statistics import StatId, sufficient
 from nilelab.verify import STATISTICS, MCConfig, run_grid
 
 
@@ -30,22 +30,25 @@ def test_family_row_agrees_with_engine_and_family_model(token):
     config = MCConfig(master_seed=0, replicates=10, theta_grid=(math.inf,), n=2)
     with pytest.raises(DomainError) as from_grid:
         run_grid(token, (math.inf,), 2, 1.0, config, [stat])
-    if token in {k.value for k in Kind}:
-        with pytest.raises(DomainError) as from_model:
-            FamilyModel(kind=Kind(token), theta=math.inf, rho=math.inf)
-        assert str(from_model.value) == str(from_grid.value)
-        model = FamilyModel(kind=Kind(token), **{family.param: 0.5})
-        obs = sample(model, 3, np.random.default_rng(1))
-        assert 0.0 < density(model, obs.points[0]) < math.inf
-        sufficient(obs)  # SufficientSummary accepts what the reducer gives
-        models = [FamilyModel(kind=Kind(token), **{family.param: param})
-                  for param in family.curve_grid(CONSTRAINT_GRID_POINTS)]
-        if family.natural is None:
-            with pytest.raises(NotExponentialError):
-                natural_params(models[0])
-        else:
-            assert max(abs(natural_params(m).residual) for m in models) < CONSTRAINT_TOL
+    with pytest.raises(DomainError) as from_model:
+        FamilyModel(kind=Kind(token), theta=math.inf, rho=math.inf)
+    assert str(from_model.value) == str(from_grid.value)
+    model = FamilyModel(kind=Kind(token), **{family.param: 0.5})
+    obs = sample(model, 3, np.random.default_rng(1))
+    assert 0.0 < density(model, obs.points[0]) < math.inf
+    sufficient(obs)  # SufficientSummary accepts what the reducer gives
+    models = [FamilyModel(kind=Kind(token), **{family.param: param})
+              for param in family.curve_grid(CONSTRAINT_GRID_POINTS)]
+    if family.natural is None:
+        with pytest.raises(NotExponentialError):
+            natural_params(models[0])
     else:
-        draws = family.draw(0.5, 1.0, np.random.default_rng(1), 1)
-        xs = [float(d[0]) for d in draws] if family.pairs else [float(draws[0])]
-        assert 0.0 < family.density(*xs, 0.5, 1.0) < math.inf
+        assert max(abs(natural_params(m).residual) for m in models) < CONSTRAINT_TOL
+
+
+def test_enums_are_built_from_the_rows():
+    assert [k.value for k in Kind] == list(FAMILIES)
+    declared = [f.ancillary for f in FAMILIES.values() if f.ancillary is not None]
+    assert [s.value for s in StatId] == list(dict.fromkeys(declared))
+    assert all(k.name == k.value.upper() for k in Kind)
+    assert all(s.name == s.value.upper() for s in StatId)

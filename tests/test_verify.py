@@ -348,6 +348,14 @@ class TestIndependence:
                                   _cfg(grid=(1.0,), n=1, replicates=50_000))
         assert rep.verdict == "fail"
 
+    def test_constant_statistic_is_independent(self):
+        # xbar > 0 on every nile replicate, so the indicator leaves one row
+        rep = verify_independence("positive_indicator", "nile_product", "nile",
+                                  _cfg(grid=(0.5, 2.0), replicates=2000))
+        assert rep.verdict == "pass"
+        assert rep.statistics["min_p_value"] == 1.0
+        assert all(p.statistics["chi2"] == 0.0 for p in rep.points)
+
     def test_mean_independent_of_range_conditional_claim_fails(self):
         # xbar and the range are dependent for uniform samples
         rep = verify_independence("sample_mean", "uniform_range",
@@ -415,6 +423,10 @@ class TestCondMomentDependence:
             assert ("prediction" in p.statistics) is predicted
             if predicted:
                 assert p.statistics["prediction"] == STATISTICS[g_stat].cond_m2(p.param, 1.0, 5)
+
+    def test_too_few_replicates_for_a_decile_bin(self):
+        with pytest.raises(VerificationError, match="a decile bin of .* holds 1 replicates"):
+            cond_moment_dependence("nile_star", "nile", 1.0, _cfg(grid=(1.0,), replicates=10))
 
     def test_fixture_shows_no_dependence(self):
         rep = cond_moment_dependence("sample_mean", "normal_unit", 1.0,
