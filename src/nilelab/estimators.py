@@ -46,12 +46,15 @@ def nile_equivariant(summary: SufficientSummary, h) -> float:
 # and cached (threads that miss together each build the same table); its
 # nodes come from one vectorised call of scipy's exponentially scaled Bessel
 # function kve (the exp(x) scaling cancels in the ratio), which is independent
-# of both routes in ``quadrature``, so either can check the table.  Off-grid
+# of both routes in ``quadrature``, so either can check the table.  A lookup
+# indexes its interval directly on the grid, uniform in log w, and sums the
+# cubic as scipy's PPoly does: the spline's value bit for bit.  Off-grid
 # arguments fall back to direct quadrature.
 
 _GRID_LOG10_LO = -8.0
 _LOGW_LO, _LOGW_HI = _GRID_LOG10_LO * math.log(10.0), 6.0 * math.log(10.0)
 _GRID_POINTS = 2001
+_LOGW_STEP = (_LOGW_HI - _LOGW_LO) / (_GRID_POINTS - 1)
 
 @functools.cache
 def _table_for(n: int) -> CubicSpline:
@@ -67,10 +70,34 @@ def _table_for(n: int) -> CubicSpline:
     return CubicSpline(logw, logm)
 
 
+def _spline_at(logw: np.ndarray, n: int) -> np.ndarray:
+    """``_table_for(n)(logw)`` bit for bit, every logw in [_LOGW_LO, _LOGW_HI];
+    ``logw`` is spent as scratch."""
+    spline = _table_for(n)
+    x, c = spline.x, spline.c
+    # the index from the grid step is off by at most one next to a node; correct it
+    # to PPoly's interval x[i] <= logw < x[i + 1], the last closed on the right.
+    # Every index is in range: take's "clip" mode only skips the bounds check
+    buf = np.subtract(logw, _LOGW_LO)
+    buf /= _LOGW_STEP
+    i = buf.astype(np.intp)
+    np.minimum(i, _GRID_POINTS - 2, out=i)
+    i -= logw < np.take(x, i, out=buf, mode="clip")
+    i += logw >= np.take(x[1:], i, out=buf, mode="clip")
+    np.minimum(i, _GRID_POINTS - 2, out=i)
+    dx = np.subtract(logw, np.take(x, i, out=buf, mode="clip"), out=logw)
+    total = np.take(c[3], i, out=buf, mode="clip")
+    term, power = np.empty_like(dx), np.ones_like(dx)
+    for k in (2, 1, 0):  # ((c[3] + c[2] dx) + c[1] dx^2) + c[0] dx^3, as PPoly sums it
+        power *= dx
+        np.take(c[k], i, out=term, mode="clip")
+        term *= power
+        total += term
+    return total
+
+
 def h_star(w: float, n: int) -> float:
     """Reciprocal of the first conditional moment of ybar given W = w."""
-    if not w > 0:
-        raise ValueError(f"w must be positive, got {w}")
     return float(h_star_vector([w], n)[0])
 
 
@@ -79,13 +106,16 @@ def h_star_vector(w: np.ndarray, n: int) -> np.ndarray:
     if not isinstance(n, (int, np.integer)) or n < 1:  # before a table is built for n
         raise ValueError(f"sample size must be an integer >= 1, got {n!r}")
     w = np.asarray(w, dtype=float)
-    logw = np.log(w)
-    out = np.empty_like(logw)
-    inside = (logw >= _LOGW_LO) & (logw <= _LOGW_HI)
-    out[inside] = np.exp(-_table_for(n)(logw[inside]))
+    valid = (w > 0) & (w < math.inf)  # False at NaN
+    if not valid.all():
+        raise ValueError(f"w must be finite and positive, got {float(w[~valid][0])}")
+    out = np.log(w.ravel())
+    inside = (out >= _LOGW_LO) & (out <= _LOGW_HI)
+    h = _spline_at(out if inside.all() else out[inside], n)  # spends out only if all inside
+    out[inside] = np.exp(np.negative(h, out=h), out=h)
     for i in np.flatnonzero(~inside):
-        out[i] = 1.0 / cond_moment(1, float(w[i]), n)
-    return out
+        out[i] = 1.0 / cond_moment(1, float(w.flat[i]), n)
+    return out.reshape(w.shape)
 
 
 def nile_equivariant_star(summary: SufficientSummary) -> float:

@@ -223,17 +223,18 @@ def _moments(x: np.ndarray, order: int = 4) -> np.ndarray:
     """
     if x.size == 0:
         return np.array([0.0, math.nan] + [0.0] * (order - 1))
-    mean = x.mean()
-    d = x - mean
-    if order == 2:  # one temporary, squared in place, as x.var() does
-        d *= d
-        return np.array([x.size, mean, d.sum()])
-    d2 = d * d
-    m2 = d2.sum()
-    d *= d2
-    m3 = d.sum()
-    d2 *= d2
-    return np.array([x.size, mean, m2, m3, d2.sum()])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or nan
+        mean = x.mean()
+        d = x - mean
+        if order == 2:  # one temporary, squared in place, as x.var() does
+            d *= d
+            return np.array([x.size, mean, d.sum()])
+        d2 = d * d
+        m2 = d2.sum()
+        d *= d2
+        m3 = d.sum()
+        d2 *= d2
+        return np.array([x.size, mean, m2, m3, d2.sum()])
 
 
 def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -298,28 +299,31 @@ def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names, *,
         ``out`` filled)."""
         gi, ci = gi_ci
         rng = np.random.default_rng(children[gi * len(sizes) + ci])
-        if direct:
-            sim = direct.draw(grid[gi], c, rng, sizes[ci], n)
-        else:
-            draws = family.draw(grid[gi], c, rng, (sizes[ci], per_replicate))
-            sim = reduce(family, draws, n, reads | {"degenerate"})
-        bad = sim.get("degenerate")
-        bad = bad if bad is not None and bad.any() else None
-        dropped = 0 if bad is None else int(bad.sum())
-        vals = {name: stat.compute(sim, grid[gi], n, c) for name, stat in stats.items()}
-        for name, v in vals.items():  # e.g. an overflow at an extreme theta
-            finite = np.isfinite(v)
-            if not (finite.all() or (bad is not None and (finite | bad).all())):
-                raise VerificationError(f"statistic {name!r} is not finite on a replicate "
-                                        f"at theta={grid[gi]:g}")
-        if moments_of is None:
-            for name, v in vals.items():
-                out[gi][name][starts[ci]:starts[ci + 1]] = v
-            return dropped, bad
-        if bad is not None:
-            vals = {name: v[~bad] for name, v in vals.items()}
-        return dropped, {q: _moments(np.asarray(v, dtype=float))
-                         for q, v in moments_of(vals).items()}
+        # an extreme theta overflows here, and the finiteness checks below report
+        # it; numpy's errstate is per thread, and a pool thread does not inherit it
+        with np.errstate(over="ignore", invalid="ignore"):
+            if direct:
+                sim = direct.draw(grid[gi], c, rng, sizes[ci], n)
+            else:
+                draws = family.draw(grid[gi], c, rng, (sizes[ci], per_replicate))
+                sim = reduce(family, draws, n, reads | {"degenerate"})
+            bad = sim.get("degenerate")
+            bad = bad if bad is not None and bad.any() else None
+            dropped = 0 if bad is None else int(bad.sum())
+            vals = {name: stat.compute(sim, grid[gi], n, c) for name, stat in stats.items()}
+            for name, v in vals.items():  # e.g. an overflow at an extreme theta
+                finite = np.isfinite(v)
+                if not (finite.all() or (bad is not None and (finite | bad).all())):
+                    raise VerificationError(f"statistic {name!r} is not finite on a replicate "
+                                            f"at theta={grid[gi]:g}")
+            if moments_of is None:
+                for name, v in vals.items():
+                    out[gi][name][starts[ci]:starts[ci + 1]] = v
+                return dropped, bad
+            if bad is not None:
+                vals = {name: v[~bad] for name, v in vals.items()}
+            return dropped, {q: _moments(np.asarray(v, dtype=float))
+                             for q, v in moments_of(vals).items()}
 
     tasks = [(gi, ci) for gi in range(len(grid)) for ci in range(len(sizes))]
     pool = ThreadPoolExecutor(max_workers=config.workers)
@@ -332,8 +336,9 @@ def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names, *,
     per_point = [[kept for _, kept in chunks[gi * len(sizes):(gi + 1) * len(sizes)]]
                  for gi in range(len(grid))]
     if moments_of is not None:  # merged in chunk order, not in the order chunks finished
-        return [functools.reduce(lambda a, b: {q: _merge(a[q], b[q]) for q in a}, point)
-                for point in per_point], degenerate
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or nan
+            return [functools.reduce(lambda a, b: {q: _merge(a[q], b[q]) for q in a}, point)
+                    for point in per_point], degenerate
     for gi, masks in enumerate(per_point):
         if any(bad is not None for bad in masks):
             keep = np.ones(config.replicates, dtype=bool)
@@ -712,7 +717,8 @@ def cond_moment_dependence(g_stat: str, token: str, theta: float,
                if w_stat in ("ancillary", FAMILIES[token].ancillary) else None)
     sim = per_point[0]
     w = sim[w_stat]
-    g2 = sim[g_stat] ** 2
+    with np.errstate(over="ignore"):  # an overflow gives the nan spread reported below
+        g2 = sim[g_stat] ** 2
     idx = _quantile_bins(w, 10)
     fewest = int(np.bincount(idx, minlength=10).min())
     if fewest < 2:

@@ -336,7 +336,6 @@ OVERFLOW_CONFIGS = [
 ]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows themselves
 @pytest.mark.parametrize("text,message", OVERFLOW_CONFIGS)
 def test_overflow_exits_one_with_error_line(tmp_path, capsys, text, message):
     cfg = _write(tmp_path, text)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize, minimize_scalar
 
-from nilelab.estimators import (_table_for, h_star, h_star_vector, khan_coefficients,
-                                khan_linear, nile_equivariant,
+from nilelab.estimators import (_spline_at, _table_for, h_star, h_star_vector,
+                                khan_coefficients, khan_linear, nile_equivariant,
                                 nile_equivariant_star, nile_mle,
                                 normalcv_mle, pitman_midrange, s_mean_factor)
 from nilelab.families import InputError, Kind, nile, sample
@@ -125,6 +125,46 @@ class TestHStar:
         for i in nodes:
             assert math.exp(table(table.x[i])) == pytest.approx(
                 cond_moment_bessel(1, float(w[i]), n), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 20])
+    def test_lookup_is_the_spline_bit_for_bit(self, n):
+        # every node, both float neighbours of each node inside the grid (so both
+        # grid ends and their inner neighbours) and random points
+        table = _table_for(n)
+        x = table.x
+        logw = np.concatenate([x, np.nextafter(x[1:], -np.inf), np.nextafter(x[:-1], np.inf),
+                               np.random.default_rng(n).uniform(x[0], x[-1], 100_000)])
+        assert np.array_equal(_spline_at(logw.copy(), n), table(logw))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 20])
+    def test_vector_is_the_spline_on_the_grid_and_quadrature_off_it(self, n):
+        table = _table_for(n)
+        w = np.exp(np.random.default_rng(n).uniform(table.x[0] - 5.0, table.x[-1] + 5.0, 400))
+        logw = np.log(w)
+        inside = (logw >= table.x[0]) & (logw <= table.x[-1])
+        assert (logw < table.x[0]).any() and (logw > table.x[-1]).any()
+        got = h_star_vector(w, n)
+        assert np.array_equal(got[inside], np.exp(-table(logw[inside])))
+        assert np.array_equal(h_star_vector(w[inside], n), got[inside])  # every w on the grid
+        assert np.array_equal(got[~inside],
+                              [1.0 / cond_moment(1, float(v), n) for v in w[~inside]])
+
+    def test_vector_keeps_the_shape_of_w(self):
+        w = np.array([[0.5, 2.0], [1e-12, 3e7]])  # two w off the grid
+        flat = h_star_vector(w.ravel(), 3)
+        assert np.array_equal(h_star_vector(w, 3), flat.reshape(2, 2))
+        for v, h in zip(w.ravel(), flat):
+            assert h_star_vector(np.array(v), 3).shape == ()
+            assert h_star_vector(np.array(v), 3) == h
+
+    @pytest.mark.parametrize("call,w", [(h_star_vector, [0.0]), (h_star_vector, [-1.0]),
+                                        (h_star_vector, [math.inf]), (h_star, math.inf),
+                                        (h_star_vector, [1.0, math.nan])])
+    def test_rejects_w_not_finite_and_positive_before_the_log(self, call, w):
+        # filterwarnings = error: a RuntimeWarning from np.log would fail first
+        bad = w if call is h_star else w[-1]
+        with pytest.raises(ValueError, match=f"w must be finite and positive, got {bad}"):
+            call(w, 2)
 
     def test_unbiased_by_monte_carlo(self):
         theta, n, N = 2.0, 5, 100_000
