@@ -448,6 +448,9 @@ def verify_ancillarity(token: str, statistic: str, config: MCConfig,
             raise VerificationError(f"every replicate at theta={t:g} is degenerate; "
                                     f"there is no sample to compare")
         m, se = _mean_se(_moments(s, order=2))
+        if not (math.isfinite(m) and math.isfinite(se)):  # squares overflowed, or N = 1
+            raise VerificationError(f"{statistic} at theta={t:g} has mean {m:g} (SE {se:g}); "
+                                    f"a report needs both finite")
         points.append(GridPointResult(param=t, estimates={statistic: m},
                                       se={statistic: se}))
         s.sort()
@@ -511,11 +514,25 @@ def verify_first_order(token: str, statistic: str, config: MCConfig,
 
 
 def _quantile_bins(arr: np.ndarray, k: int) -> np.ndarray:
+    """The int8 bin of each element of ``arr`` among its k-quantile edges.
+
+    The bin is #{edges <= x}, ``np.searchsorted(edges, arr, side="right")``
+    element for element, counted with one vectorised comparison per edge
+    instead of a binary search on unsorted keys.  Preconditions: ``arr``
+    holds no NaN (one would land in bin 0, where searchsorted puts it last;
+    ``run_grid``'s finiteness check leaves none, and +-inf are binned as
+    searchsorted bins them), and there are at most 127 edges (k <= 128), so
+    every count fits in int8.
+    """
     # the quantiles of a sorted copy are the same order statistics, found
     # faster than by partitioning the unsorted sample
     edges = np.unique(np.quantile(np.sort(arr), np.linspace(0.0, 1.0, k + 1)[1:-1],
                                   overwrite_input=True))
-    return np.searchsorted(edges, arr, side="right")
+    idx = np.zeros(arr.shape, dtype=np.int8)
+    ge = np.empty(arr.shape, dtype=bool)
+    for e in edges:
+        idx += np.greater_equal(arr, e, out=ge)
+    return idx
 
 
 def chi2_contingency(observed: np.ndarray) -> tuple[float, float]:
@@ -556,8 +573,12 @@ def verify_independence(stat_a: str, stat_b: str, token: str, config: MCConfig,
         a, b = sim[stat_a], sim[stat_b]
         ia = _quantile_bins(a, k)
         ib = _quantile_bins(b, k)
-        rows, cols = ia.max() + 1, ib.max() + 1
-        table = np.bincount(ia * cols + ib, minlength=rows * cols).reshape(rows, cols)
+        # the shape in Python ints, not int8 scalars; the cell index, formed in
+        # place in ia, is at most 9 * 10 + 9 and fits in int8
+        rows, cols = int(ia.max()) + 1, int(ib.max()) + 1
+        ia *= cols
+        ia += ib
+        table = np.bincount(ia, minlength=rows * cols).reshape(rows, cols)
         # ties can leave a quantile bin empty; it carries no information
         table = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
         if min(table.shape) < 2:

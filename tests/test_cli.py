@@ -330,6 +330,10 @@ OVERFLOW_CONFIGS = [
     ("kind = variance-table\nfamily = normal_cv\ngrid = 1e150\n"
      "estimators = khan_linear,normalcv_mle\nreplicates = 2000\n",
      "error: khan_linear at theta=1e+150 has mean "),
+    ("kind = ancillarity\nfamily = normal_cv\nstatistic = sample_mean\ngrid = 1e200,1e201\n"
+     "replicates = 4000\n", "error: sample_mean at theta=1e+200 has mean "),
+    # not an overflow, but the same non-finite SE: one replicate has none
+    ("kind = ancillarity\nreplicates = 1\n", "error: nile_product at theta=0.5 has mean "),
     ("kind = fisher-info\ntheta = 1e150\nreplicates = 2000\n", "error: float overflow: "),
     ("kind = rao\nfamily = normal_cv\nestimator = khan_linear\ntransform = identity\n"
      "grid = 1e200\nreplicates = 2000\n", "error: float overflow: "),

@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nilelab import verify
 from nilelab.cli import main
 from nilelab.verify import (MCConfig, VerificationError, ZeroMeanSpec, _merge, _moments,
                             fisher_info, identity, rao_zero_cov, run_grid,
@@ -114,6 +115,23 @@ def test_moment_only_verifier_keeps_no_replicate_array(verifier):
     finally:
         tracemalloc.stop()
     assert peak < 8 * MEMORY_N
+
+
+def test_independence_bins_in_one_byte_per_replicate(monkeypatch):
+    # the samples are drawn before tracing starts, so the peak is the decide
+    # step's; with int64 bins and cell indices it was 24 N
+    config = MCConfig(1, MEMORY_N, (0.5, 1.0, 2.0), 10)
+    drawn = run_grid("normal_cv", config.theta_grid, 10, 1.0, config,
+                     ["sample_mean", "sample_sd"])
+    monkeypatch.setattr(verify, "run_grid", lambda *args, **kwargs: drawn)
+    tracemalloc.start()
+    try:
+        rep = verify.verify_independence("sample_mean", "sample_sd", "normal_cv", config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.statistics["bins"] == 10
+    assert peak < 12 * MEMORY_N
 
 
 #: One config per streamed path: first-order, rao with a calibrated log

@@ -327,13 +327,25 @@ class TestChi2Contingency:
         if "positive_indicator" in (stat_a, stat_b):
             assert all(sorted(t.shape) == [2, k] for t in tables)
 
-    def test_quantile_bins_equal_those_of_the_unsorted_sample(self):
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_quantile_bins_equal_those_of_the_unsorted_sample(self, k):
         rng = np.random.default_rng(4)
-        for arr in (rng.normal(size=10_001), rng.integers(0, 3, size=5_000) * 1.0):
-            for k in (2, 7, 10):
-                q = np.linspace(0.0, 1.0, k + 1)[1:-1]
-                expected = np.searchsorted(np.unique(np.quantile(arr, q)), arr, side="right")
-                assert np.array_equal(_quantile_bins(arr, k), expected)
+        arrays = {
+            "normal": rng.normal(size=10_001),
+            "three-values": rng.integers(0, 3, size=5_000) * 1.0,
+            # a 0/1 margin: its tied quantiles straddle the edge between 0 and 1
+            "zero-one": (rng.random(5_000) < 0.37) * 1.0,
+            # every edge collapses to the one value
+            "all-equal": np.full(1_000, 2.5),
+            "with-infinities": np.r_[rng.normal(size=997), -np.inf, np.inf, np.inf],
+            "fewer-than-k": rng.normal(size=k - 1),
+        }
+        q = np.linspace(0.0, 1.0, k + 1)[1:-1]
+        for name, arr in arrays.items():
+            got = _quantile_bins(arr, k)
+            expected = np.searchsorted(np.unique(np.quantile(arr, q)), arr, side="right")
+            assert got.dtype.itemsize == 1, name
+            assert np.array_equal(got, expected), name
 
 
 class TestIndependence:
