@@ -17,7 +17,6 @@ import math
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import gammaln, kve
 
 from .families import InputError, InsufficientSampleError
@@ -46,9 +45,12 @@ def nile_equivariant(summary: SufficientSummary, h) -> float:
 # and cached (threads that miss together each build the same table); its
 # nodes come from one vectorised call of scipy's exponentially scaled Bessel
 # function kve (the exp(x) scaling cancels in the ratio), which is independent
-# of both routes in ``quadrature``, so either can check the table.  A lookup
-# indexes its interval directly on the grid, uniform in log w, and sums the
-# cubic as scipy's PPoly does: the spline's value bit for bit.  Off-grid
+# of both routes in ``quadrature``, so either can check the table.  The spline
+# is scipy's CubicSpline with not-a-knot ends, bit for bit, solved here in numpy:
+# the same tridiagonal system for the node slopes, eliminated as LAPACK's dgtsv
+# does (no row interchange: each pivot outweighs the entry below it), then the
+# Hermite coefficients.  A lookup indexes its interval directly on the grid,
+# uniform in log w, and sums the cubic as scipy's PPoly does.  Off-grid
 # arguments fall back to direct quadrature.
 
 _GRID_LOG10_LO = -8.0
@@ -56,8 +58,9 @@ _LOGW_LO, _LOGW_HI = _GRID_LOG10_LO * math.log(10.0), 6.0 * math.log(10.0)
 _GRID_POINTS = 2001
 _LOGW_STEP = (_LOGW_HI - _LOGW_LO) / (_GRID_POINTS - 1)
 
-@functools.cache
-def _table_for(n: int) -> CubicSpline:
+
+def _nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The spline's nodes for sample size n: log w on the grid and log E_1(ybar | W = w)."""
     logw = np.linspace(_LOGW_LO, _LOGW_HI, _GRID_POINTS)
     x = 2.0 * n * np.exp(0.5 * logw)
     logm = 0.5 * logw + np.log(kve(1, x) / kve(0, x))
@@ -67,14 +70,45 @@ def _table_for(n: int) -> CubicSpline:
         raise QuadratureFailure(
             f"h* table for n = {n}: scipy.special.kve cannot resolve 2n sqrt(w) "
             f"up to {x[-1]:g} (largest resolved argument: {largest})")
-    return CubicSpline(logw, logm)
+    return logw, logm
+
+
+def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``scipy.interpolate.CubicSpline(x, y).c`` for more than 3 nodes, bit for bit."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    # rows 0 and -1 are the not-a-knot conditions, the rest match first derivatives
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    lower = np.append(dx[1:], d1).tolist()
+    diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]])).tolist()
+    upper = np.append(d0, dx[:-1]).tolist()
+    s = np.concatenate((
+        [((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0],
+        3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+        [(dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1])).tolist()
+    for i in range(len(s) - 1):
+        fact = lower[i] / diag[i]
+        diag[i + 1] -= fact * upper[i]
+        s[i + 1] -= fact * s[i]
+    s[-1] /= diag[-1]
+    for i in range(len(s) - 2, -1, -1):
+        s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
+    s = np.array(s)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
+@functools.cache
+def _table_for(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid and the (4, _GRID_POINTS - 1) coefficients of n's spline."""
+    logw, logm = _nodes(n)
+    return logw, _not_a_knot(logw, logm)
 
 
 def _spline_at(logw: np.ndarray, n: int) -> np.ndarray:
-    """``_table_for(n)(logw)`` bit for bit, every logw in [_LOGW_LO, _LOGW_HI];
+    """``CubicSpline(*_nodes(n))(logw)`` bit for bit, every logw in [_LOGW_LO, _LOGW_HI];
     ``logw`` is spent as scratch."""
-    spline = _table_for(n)
-    x, c = spline.x, spline.c
+    x, c = _table_for(n)
     # the index from the grid step is off by at most one next to a node; correct it
     # to PPoly's interval x[i] <= logw < x[i + 1], the last closed on the right.
     # Every index is in range: take's "clip" mode only skips the bounds check

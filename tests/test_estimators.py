@@ -4,11 +4,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize, minimize_scalar
 
-from nilelab.estimators import (_spline_at, _table_for, h_star, h_star_vector,
-                                khan_coefficients, khan_linear, nile_equivariant,
-                                nile_equivariant_star, nile_mle,
+from nilelab.estimators import (_nodes, _spline_at, _table_for, h_star,
+                                h_star_vector, khan_coefficients, khan_linear,
+                                nile_equivariant, nile_equivariant_star, nile_mle,
                                 normalcv_mle, pitman_midrange, s_mean_factor)
 from nilelab.families import InputError, Kind, nile, sample
 from nilelab.quadrature import cond_moment, cond_moment_bessel
@@ -20,6 +21,11 @@ COND_MEAN_W1_N1 = 1.2280369298189078
 
 def _nile_summary(xbar, ybar, n=1):
     return SufficientSummary(Kind.NILE, (xbar, ybar), n)
+
+
+def _oracle(n):
+    """scipy's not-a-knot spline through the h* table's kve nodes."""
+    return CubicSpline(*_nodes(n))
 
 
 class TestNileMLE:
@@ -106,10 +112,17 @@ class TestHStar:
                 scaled = nile_equivariant_star(_nile_summary(xbar / lam, ybar * lam, n=2))
                 assert scaled == pytest.approx(lam * base, rel=1e-14)
 
+    @pytest.mark.parametrize("n", [*range(1, 41), 100, 1000])
+    def test_table_is_cubic_spline_bit_for_bit(self, n):
+        x, c = _table_for(n)
+        oracle = _oracle(n)
+        assert np.array_equal(x, oracle.x)
+        assert np.array_equal(c, oracle.c)
+
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_table_matches_adaptive_quadrature(self, n):
-        # the table's kve nodes against the quad route, every 50th node
-        table = _table_for(n)
+        # the table's kve nodes against the adaptive route, every 50th node
+        table = _oracle(n)
         for logw in table.x[::50]:
             expected = cond_moment(1, math.exp(logw), n)
             assert math.exp(table(logw)) == pytest.approx(expected, rel=1e-9)
@@ -117,7 +130,7 @@ class TestHStar:
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_table_matches_bessel_route(self, n):
         # every node inside the trapezoid route's range 1e-3 <= 2n sqrt(w) <= 700
-        table = _table_for(n)
+        table = _oracle(n)
         w = np.exp(table.x)
         arg = 2.0 * n * np.sqrt(w)
         nodes = np.flatnonzero((arg >= 1e-3) & (arg <= 700.0))
@@ -130,7 +143,7 @@ class TestHStar:
     def test_lookup_is_the_spline_bit_for_bit(self, n):
         # every node, both float neighbours of each node inside the grid (so both
         # grid ends and their inner neighbours) and random points
-        table = _table_for(n)
+        table = _oracle(n)
         x = table.x
         logw = np.concatenate([x, np.nextafter(x[1:], -np.inf), np.nextafter(x[:-1], np.inf),
                                np.random.default_rng(n).uniform(x[0], x[-1], 100_000)])
@@ -138,7 +151,7 @@ class TestHStar:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 20])
     def test_vector_is_the_spline_on_the_grid_and_quadrature_off_it(self, n):
-        table = _table_for(n)
+        table = _oracle(n)
         w = np.exp(np.random.default_rng(n).uniform(table.x[0] - 5.0, table.x[-1] + 5.0, 400))
         logw = np.log(w)
         inside = (logw >= table.x[0]) & (logw <= table.x[-1])

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.special import kve
 
+from nilelab import quadrature
 from nilelab.estimators import h_star
 from nilelab.quadrature import (LaplaceIntegralSpec, QuadratureFailure, bessel_k, cond_moment, cond_moment_bessel,
                                 cond_second_moment_ratio, laplace_integral,
@@ -14,6 +16,17 @@ from nilelab.quadrature import (LaplaceIntegralSpec, QuadratureFailure, bessel_k
 K0_2 = 0.1138938727495334
 K1_2 = 0.1398658818165224
 K2_2 = 0.2537597545660558
+
+
+def _kve_moments(w, n):
+    """r_m = w^(m/2) K_m(x) / K_0(x), x = 2n sqrt(w), for m = 0..6: r_1 by kve, the rest
+    by K_{m+1} = K_{m-1} + (2m/x) K_m, r_{m+1} = w r_{m-1} + (m/n) r_m (kve(6, x)
+    overflows near w = 0)."""
+    x = 2.0 * n * math.sqrt(w)
+    r = [1.0, math.sqrt(w) * kve(1, x) / kve(0, x)]
+    for m in range(1, 6):
+        r.append(w * r[m - 1] + (m / n) * r[m])
+    return r
 
 
 class TestBesselK:
@@ -37,6 +50,23 @@ class TestBesselK:
             bessel_k(-1, 2.0)
         with pytest.raises(ValueError):
             bessel_k(0, -1.0)
+
+
+class TestGaussKronrod:
+    # int_{-1}^{1} x^k dx = 2 / (k + 1) for even k, 0 for odd k
+    def _errors(self, weights):
+        return [abs(float(np.sum(weights * quadrature._GK_NODES ** k))
+                    - (2.0 / (k + 1) if k % 2 == 0 else 0.0)) for k in range(40)]
+
+    def test_kronrod_rule_is_exact_to_degree_31(self):
+        errors = self._errors(quadrature._GK_WEIGHTS[0])
+        assert max(errors[:32]) < 1e-15
+        assert errors[32] > 1e-13
+
+    def test_gauss_rule_is_exact_to_degree_19(self):
+        errors = self._errors(quadrature._GK_WEIGHTS[1])
+        assert max(errors[:20]) < 1e-15
+        assert errors[20] > 1e-13
 
 
 class TestLaplaceIntegral:
@@ -105,9 +135,18 @@ class TestCondMoment:
         assert v == pytest.approx(1e3, rel=1e-3)
 
     def test_unresolved_integral_raises(self):
-        # at n = 1e6 quad returns 0 (error estimate 0) for a positive integral
-        with pytest.raises(QuadratureFailure, match="gave 0"):
+        # at n = 1e6 the peak is about 2e-5 wide in a window of width 2: the pieces
+        # around it reach the 200-piece limit before the error meets the tolerance
+        with pytest.raises(QuadratureFailure, match=re.escape(
+                "relative error 1.471e-07 exceeds tol 1.000e-10")):
             cond_moment(1, 1e6, 10 ** 6)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 100])
+    @pytest.mark.parametrize("m", [1, 2, 3, 6])
+    def test_matches_kve(self, m, n):
+        for w in np.geomspace(1e-10, 1e5, 31):
+            want = _kve_moments(float(w), n)[m]
+            assert cond_moment(m, float(w), n) == pytest.approx(want, rel=1e-11)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
