@@ -183,10 +183,11 @@ def _rao(cfg):
         u = verify.ZeroMeanSpec(id="first-contrast", source=contrast,
                                 transform=verify.identity, center=0.0, center_se=0.0)
     else:
-        transform = verify.TRANSFORMS[cfg.transform](family, cfg.n, cfg.c, cfg.seed + 2)
+        transform = verify.TRANSFORMS[cfg.transform](family, cfg.n, cfg.c, cfg.seed + 2,
+                                                     cfg.workers)
         u = verify.zero_mean_from_ancillary(
             f"{cfg.transform}-of-ancillary", "ancillary", transform, family,
-            n=cfg.n, seed=cfg.seed + 1, c=cfg.c)
+            n=cfg.n, seed=cfg.seed + 1, c=cfg.c, workers=cfg.workers)
     grid = cfg.grid or (0.5, 1.0, 2.0)
     return verify.rao_zero_cov(estimator, u, family, _mc_config(cfg, grid), power=cfg.power,
                                c=cfg.c)

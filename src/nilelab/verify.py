@@ -9,9 +9,12 @@ and estimator risk comparisons.
 Reproducibility contract: all randomness flows from ``MCConfig.master_seed``.
 Replicates are partitioned into a fixed number of chunks (independent of
 the worker count); chunk ``i`` of grid point ``g`` always consumes the
-same spawned substream and fills the same slice of the output arrays, or
-gives the same moments.  The moment-only verifiers (first-order, rao with
-its calibration run, and fisher-info) keep no replicate: each chunk is
+same spawned substream and fills the same slice of its grid point's
+arrays, or gives the same moments.  The grid points whose arrays are kept
+are drawn one at a time; a ``per_point`` reducer (independence's table
+counts) takes each point's arrays once all its chunks are in, so only one
+point's sample is alive at once.  The moment-only verifiers (first-order,
+rao with its calibration run, and fisher-info) keep no replicate: each chunk is
 reduced to its count, mean and central sums M2, M3, M4, and the chunks are
 merged in chunk order, not in the order the workers finish them.  Reports
 are therefore bit-identical across worker counts.
@@ -214,27 +217,52 @@ def _chunk_sizes(total: int, chunks: int) -> list[int]:
     return [s for s in sizes if s > 0]
 
 
+#: Longest array whose deviations ``_moments`` forms in one piece (512 KiB of
+#: float64); a longer one is split where numpy's pairwise sum splits it.
+_BLOCK = 65536
+
+
 def _moments(x: np.ndarray, order: int = 4) -> np.ndarray:
     """``[count, mean, M2, ..., M_order]`` of ``x``, M_k the k-th central sum, in
     two passes; ``order`` is 4, or 2 where only the mean and its SE are needed.
 
     M2 is summed as ``x.var(ddof=1)`` sums it, so M2 / (count - 1) equals
     that variance bit for bit.  An empty ``x`` gives count 0 and mean NaN.
+    The deviations are formed in blocks of at most ``_BLOCK`` elements
+    (``_central_sums``), so no temporary is longer than that.
     """
     if x.size == 0:
         return np.array([0.0, math.nan] + [0.0] * (order - 1))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or nan
         mean = x.mean()
-        d = x - mean
-        if order == 2:  # one temporary, squared in place, as x.var() does
-            d *= d
-            return np.array([x.size, mean, d.sum()])
-        d2 = d * d
-        m2 = d2.sum()
-        d *= d2
-        m3 = d.sum()
-        d2 *= d2
-        return np.array([x.size, mean, m2, m3, d2.sum()])
+        return np.array([x.size, mean, *_central_sums(x, mean, order)])
+
+
+def _central_sums(x: np.ndarray, mean, order: int) -> tuple:
+    """(M2,) or (M2, M3, M4) of ``x`` about ``mean``, each the float that
+    numpy's sum of the whole array of powered deviations gives.
+
+    numpy sums a contiguous array pairwise: a part longer than 128 elements
+    is split after its length halved and rounded down to a multiple of 8,
+    and the two halves' sums are added.  An ``x`` longer than ``_BLOCK`` is
+    split at the same place, so the sums of its blocks are added in the
+    order numpy adds them, and every sum is the whole array's bit for bit.
+    """
+    if x.size > _BLOCK:
+        half = x.size // 2
+        half -= half % 8
+        return tuple(left + right for left, right in zip(_central_sums(x[:half], mean, order),
+                                                         _central_sums(x[half:], mean, order)))
+    d = x - mean
+    if order == 2:  # one temporary, squared in place, as x.var() does
+        d *= d
+        return (d.sum(),)
+    d2 = d * d
+    m2 = d2.sum()
+    d *= d2
+    m3 = d.sum()
+    d2 *= d2
+    return m2, m3, d2.sum()
 
 
 def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -262,7 +290,7 @@ def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names, *,
-             moments_of=None) -> tuple[list[dict], int]:
+             moments_of=None, per_point=None) -> tuple[list[dict], int]:
     """Simulate each grid point and evaluate ``names``; deterministic in workers.
 
     Returns (per-grid-point dict of name -> array, degenerate count).  When
@@ -273,11 +301,20 @@ def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names, *,
     counted.  Statistics (ValueError) and grid points (DomainError) are
     checked before sampling.
 
+    The grid points are drawn one at a time: every chunk of a point is in
+    before the next point's first chunk starts.  With ``per_point`` the
+    arrays are not kept: the function maps each point's ``{name: array}``
+    (degenerate replicates dropped), as soon as it is drawn, to a dict of
+    name -> array, which the returned list holds in its place, and the
+    point's arrays are released before the next point is drawn; so at most
+    one grid point's sample is alive at once.
+
     With ``moments_of`` no replicate is kept: the function maps each chunk's
     ``{name: array}`` (degenerate replicates dropped) to ``{quantity:
     array}``, and each grid point's dict holds, per quantity, the float64
     array ``[count, mean, M2, M3, M4]`` (``_moments``) of the chunks merged
-    in chunk order.
+    in chunk order.  The chunks of every grid point share one pass of the
+    pool, and ``per_point`` is not read.
     """
     grid = list(grid)
     stats = {name: resolve_statistic(name, token, n) for name in names}
@@ -290,14 +327,11 @@ def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names, *,
     sizes = _chunk_sizes(config.replicates, N_CHUNKS)
     starts = np.cumsum([0] + sizes).tolist()
     children = np.random.SeedSequence(config.master_seed).spawn(len(grid) * len(sizes))
-    out = None if moments_of else [{name: np.empty(config.replicates) for name in stats}
-                                   for _ in grid]
 
-    def one_chunk(gi_ci):
+    def one_chunk(gi, ci, arrays=None):
         """Chunk ``ci`` of grid point ``gi``: its count of degenerate replicates,
         and its moments (streamed) or its degenerate mask, if any (its slice of
-        ``out`` filled)."""
-        gi, ci = gi_ci
+        each of the point's ``arrays`` filled)."""
         rng = np.random.default_rng(children[gi * len(sizes) + ci])
         # an extreme theta overflows here, and the finiteness checks below report
         # it; numpy's errstate is per thread, and a pool thread does not inherit it
@@ -316,37 +350,52 @@ def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names, *,
                 if not (finite.all() or (bad is not None and (finite | bad).all())):
                     raise VerificationError(f"statistic {name!r} is not finite on a replicate "
                                             f"at theta={grid[gi]:g}")
-            if moments_of is None:
+            if arrays is not None:
                 for name, v in vals.items():
-                    out[gi][name][starts[ci]:starts[ci + 1]] = v
+                    arrays[name][starts[ci]:starts[ci + 1]] = v
                 return dropped, bad
             if bad is not None:
                 vals = {name: v[~bad] for name, v in vals.items()}
             return dropped, {q: _moments(np.asarray(v, dtype=float))
                              for q, v in moments_of(vals).items()}
 
-    tasks = [(gi, ci) for gi in range(len(grid)) for ci in range(len(sizes))]
+    def draw_point(gi):
+        """Grid point ``gi``'s dict of name -> array, degenerate replicates
+        dropped, and its count of them."""
+        arrays = {name: np.empty(config.replicates) for name in stats}
+        masks = list(pool.map(functools.partial(one_chunk, gi, arrays=arrays), range(len(sizes))))
+        dropped = sum(d for d, _ in masks)
+        if dropped:
+            keep = np.ones(config.replicates, dtype=bool)
+            for ci, (_, bad) in enumerate(masks):
+                if bad is not None:
+                    keep[starts[ci]:starts[ci + 1]] = ~bad
+            arrays = {name: arr[keep] for name, arr in arrays.items()}
+        return arrays, dropped
+
     pool = ThreadPoolExecutor(max_workers=config.workers)
-    try:
-        chunks = list(pool.map(one_chunk, tasks))
-    finally:  # a failed chunk cancels the chunks not yet started
+    try:  # a failed chunk cancels the chunks not yet started
+        if moments_of is not None:
+            tasks = [(gi, ci) for gi in range(len(grid)) for ci in range(len(sizes))]
+            chunks = list(pool.map(one_chunk, *zip(*tasks)))
+        else:
+            out, degenerate = [], 0
+            for gi in range(len(grid)):
+                point, dropped = draw_point(gi)
+                degenerate += dropped
+                out.append(point if per_point is None else per_point(point))
+                del point  # released before the next point is drawn
+            return out, degenerate
+    finally:
         pool.shutdown(cancel_futures=True)
 
     degenerate = sum(dropped for dropped, _ in chunks)
-    per_point = [[kept for _, kept in chunks[gi * len(sizes):(gi + 1) * len(sizes)]]
-                 for gi in range(len(grid))]
-    if moments_of is not None:  # merged in chunk order, not in the order chunks finished
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or nan
-            return [functools.reduce(lambda a, b: {q: _merge(a[q], b[q]) for q in a}, point)
-                    for point in per_point], degenerate
-    for gi, masks in enumerate(per_point):
-        if any(bad is not None for bad in masks):
-            keep = np.ones(config.replicates, dtype=bool)
-            for ci, bad in enumerate(masks):
-                if bad is not None:
-                    keep[starts[ci]:starts[ci + 1]] = ~bad
-            out[gi] = {name: arr[keep] for name, arr in out[gi].items()}
-    return out, degenerate
+    points = [[kept for _, kept in chunks[gi * len(sizes):(gi + 1) * len(sizes)]]
+              for gi in range(len(grid))]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or nan
+        # merged in chunk order, not in the order chunks finished
+        return [functools.reduce(lambda a, b: {q: _merge(a[q], b[q]) for q in a}, point)
+                for point in points], degenerate
 
 
 def _mean_se(moments: np.ndarray) -> tuple[float, float]:
@@ -406,6 +455,10 @@ def ks_2samp(a: np.ndarray, b: np.ndarray) -> float:
 #: Probe spacing of ``_ks_one_sided``.
 _KS_STRIDE = 256
 
+#: Candidate blocks ``_ks_one_sided`` searches at once: about _BLOCK / 4
+#: points, so the batch's five index and term arrays hold about 640 KiB.
+_KS_BATCH = _BLOCK // (4 * _KS_STRIDE)
+
 
 def _ks_one_sided(a: np.ndarray, b: np.ndarray) -> float:
     """max over k of the float (k + 1)/n1 - #{b <= a[k]}/n2, a and b sorted,
@@ -416,10 +469,13 @@ def _ks_one_sided(a: np.ndarray, b: np.ndarray) -> float:
     best = ((probes + 1) / n1 - counts / n2).max()
     bound = probes[1:] / n1 - counts[:-1] / n2
     starts = probes[:-1][bound >= best] + 1
-    if starts.size:
+    # a batch of blocks at a time, so the temporaries do not grow with the
+    # number of blocks that reach the bound
+    for i in range(0, starts.size, _KS_BATCH):
         # every block but the last spans _KS_STRIDE - 1 points; clipping the
         # last one's overhang repeats the last probe, whose term is exact
-        k = np.minimum(starts[:, None] + np.arange(_KS_STRIDE - 1), n1 - 1).ravel()
+        k = np.minimum(starts[i:i + _KS_BATCH, None] + np.arange(_KS_STRIDE - 1),
+                       n1 - 1).ravel()
         best = max(best, ((k + 1) / n1 - np.searchsorted(b, a[k], side="right") / n2).max())
     return float(best)
 
@@ -562,23 +618,27 @@ def verify_independence(stat_a: str, stat_b: str, token: str, config: MCConfig,
 
     Each margin is split at its empirical deciles (fewer bins for small N,
     so every expected cell count stays >= 5) and a chi-square independence
-    test is applied to the contingency table.
+    test is applied to the contingency table.  Each point's table is counted
+    as soon as the point is drawn, so only one point's margins are kept.
     """
-    per_point, degenerate = run_grid(token, config.theta_grid, config.n, c,
-                                     config, [stat_a, stat_b])
     k = min(10, max(2, int(math.sqrt(config.replicates / 5.0))))
-    points = []
-    min_p = 1.0
-    for t, sim in zip(config.theta_grid, per_point):
-        a, b = sim[stat_a], sim[stat_b]
-        ia = _quantile_bins(a, k)
-        ib = _quantile_bins(b, k)
+
+    def count_table(sim):
+        ia = _quantile_bins(sim[stat_a], k)
+        ib = _quantile_bins(sim[stat_b], k)
         # the shape in Python ints, not int8 scalars; the cell index, formed in
         # place in ia, is at most 9 * 10 + 9 and fits in int8
         rows, cols = int(ia.max()) + 1, int(ib.max()) + 1
         ia *= cols
         ia += ib
-        table = np.bincount(ia, minlength=rows * cols).reshape(rows, cols)
+        return {"table": np.bincount(ia, minlength=rows * cols).reshape(rows, cols)}
+
+    per_point, degenerate = run_grid(token, config.theta_grid, config.n, c,
+                                     config, [stat_a, stat_b], per_point=count_table)
+    points = []
+    min_p = 1.0
+    for t, counted in zip(config.theta_grid, per_point):
+        table = counted["table"]
         # ties can leave a quantile bin empty; it carries no information
         table = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
         if min(table.shape) < 2:
@@ -623,16 +683,17 @@ def identity(x):
 
 def zero_mean_from_ancillary(spec_id: str, source: str, transform, token: str,
                              n: int, seed: int, c: float = 1.0,
-                             calibration_n: int = 10 ** 6) -> ZeroMeanSpec:
+                             calibration_n: int = 10 ** 6, workers: int = 1) -> ZeroMeanSpec:
     """Build a ZeroMeanSpec by centering transform(ancillary) via one large MC run.
 
     The centering constant is estimated once at theta = 1 and frozen; its
     standard error is carried so downstream covariance tests can widen
     their error bands accordingly.  Streams: keeps the moments, not the
-    replicates.
+    replicates.  The run uses ``workers`` threads; the constant does not
+    depend on them.
     """
     cfg = MCConfig(master_seed=seed, replicates=calibration_n, theta_grid=(1.0,),
-                   n=n, workers=1)
+                   n=n, workers=workers)
     per_point, _ = run_grid(token, (1.0,), n, c, cfg, [source],
                             moments_of=lambda sim: {"U": transform(sim[source])})
     center, center_se = _mean_se(per_point[0]["U"])
@@ -640,9 +701,11 @@ def zero_mean_from_ancillary(spec_id: str, source: str, transform, token: str,
                         center=center, center_se=center_se)
 
 
-def median_indicator(token: str, n: int, c: float, seed: int):
-    """1{w <= median} with the ancillary's median frozen from a calibration run at theta=1."""
-    cfg = MCConfig(master_seed=seed, replicates=100_000, theta_grid=(1.0,), n=n)
+def median_indicator(token: str, n: int, c: float, seed: int, workers: int = 1):
+    """1{w <= median} with the ancillary's median frozen from a calibration run at
+    theta=1 on ``workers`` threads."""
+    cfg = MCConfig(master_seed=seed, replicates=100_000, theta_grid=(1.0,), n=n,
+                   workers=workers)
     per_point, _ = run_grid(token, (1.0,), n, c, cfg, ["ancillary"])
     median = float(np.median(per_point[0]["ancillary"]))
     return lambda w: (np.asarray(w) <= median).astype(float)
@@ -664,8 +727,8 @@ class PositiveLog:
 
 
 #: Transforms of the ancillary for zero-mean statistics, by name: each maps
-#: (token, n, c, seed) to the elementwise transform; the log reads the token,
-#: the median indicator all four, for its calibration run.
+#: (token, n, c, seed, workers) to the elementwise transform; the log reads the
+#: token, the median indicator all five, for its calibration run.
 TRANSFORMS = {"log": lambda token, *_: PositiveLog(token), "identity": lambda *_: identity,
               "indicator": median_indicator}
 

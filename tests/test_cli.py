@@ -437,7 +437,7 @@ def _mc(grid, n=5):
 def _anc_calibration(family):
     return ("zero_mean_from_ancillary",
             ("log-of-ancillary", "ancillary", verify.PositiveLog(family), family),
-            {"n": 5, "seed": 1, "c": 1.0})
+            {"n": 5, "seed": 1, "c": 1.0, "workers": 1})
 
 
 _CONTRAST = verify.ZeroMeanSpec(id="first-contrast", source="diff12",

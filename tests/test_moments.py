@@ -16,8 +16,8 @@ import pytest
 
 from nilelab import verify
 from nilelab.cli import main
-from nilelab.verify import (MCConfig, VerificationError, ZeroMeanSpec, _merge, _moments,
-                            fisher_info, identity, rao_zero_cov, run_grid,
+from nilelab.verify import (_BLOCK, MCConfig, VerificationError, ZeroMeanSpec, _merge,
+                            _moments, fisher_info, identity, rao_zero_cov, run_grid,
                             verify_first_order)
 
 _X = np.random.default_rng(21).exponential(3.0, size=1001)
@@ -49,6 +49,41 @@ def test_merge_matches_two_pass_moments(split):
     assert m2 / (count - 1) == pytest.approx(_X.var(ddof=1), rel=1e-12)
     assert m3 == pytest.approx(np.sum(d ** 3), rel=1e-12)
     assert m4 / count == pytest.approx(np.mean(d ** 4), rel=1e-12)
+
+
+def _whole_array_moments(x, order):
+    """``_moments`` as it was before the blocks: every deviation in one array."""
+    mean = x.mean()
+    d = x - mean
+    if order == 2:
+        d *= d
+        return np.array([x.size, mean, d.sum()])
+    d2 = d * d
+    m2 = d2.sum()
+    d *= d2
+    m3 = d.sum()
+    d2 *= d2
+    return np.array([x.size, mean, m2, m3, d2.sum()])
+
+
+#: Sizes about the pairwise sum's 128-element leaves and about the block
+#: length, and longer ones split several times, at halves that are not
+#: multiples of 8.
+BLOCKED_SIZES = (1, 127, 128, 129, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 8,
+                 1_000_003, 2 ** 21 + 5)
+
+
+@pytest.mark.parametrize("size", BLOCKED_SIZES)
+def test_blocked_moments_equal_the_whole_array_sums(size):
+    rng = np.random.default_rng(size)
+    for scale in (1e-200, 1e-3, 1.0, 1e6):
+        # skewed, so M3 is not near zero, and off zero, so the mean matters
+        x = scale * (1.0 + rng.lognormal(0.0, 1.0, size))
+        for order in (2, 4):
+            assert np.array_equal(_moments(x, order), _whole_array_moments(x, order))
+        if size > 1:
+            count, _, m2 = _moments(x, 2)
+            assert np.array_equal(m2 / (count - 1), x.var(ddof=1))
 
 
 def test_merge_with_an_empty_side_returns_the_other():
@@ -92,6 +127,17 @@ def test_streamed_rao_counts_the_dropped_replicates():
     assert rep.degenerate_count == degenerate == 286
 
 
+def _traced_peak(fn):
+    """The largest traced allocation total while ``fn()`` runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
 #: N at which each moment-only verifier's traced peak must stay below one
 #: length-N float64 array.
 MEMORY_N = 640_000
@@ -108,30 +154,61 @@ MOMENT_ONLY = {
 
 @pytest.mark.parametrize("verifier", MOMENT_ONLY)
 def test_moment_only_verifier_keeps_no_replicate_array(verifier):
-    tracemalloc.start()
-    try:
-        MOMENT_ONLY[verifier]()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = _traced_peak(MOMENT_ONLY[verifier])
     assert peak < 8 * MEMORY_N
+
+
+def _predrawn(monkeypatch, token, names, config):
+    """Draw the arrays before tracing starts and make ``run_grid`` return them,
+    each point passed through the caller's ``per_point`` if it gives one, so a
+    traced peak is the decide step's."""
+    drawn, degenerate = run_grid(token, config.theta_grid, config.n, 1.0, config, names)
+
+    def stub(*args, per_point=None, **kwargs):
+        return ([point if per_point is None else per_point(point) for point in drawn],
+                degenerate)
+
+    monkeypatch.setattr(verify, "run_grid", stub)
 
 
 def test_independence_bins_in_one_byte_per_replicate(monkeypatch):
     # the samples are drawn before tracing starts, so the peak is the decide
     # step's; with int64 bins and cell indices it was 24 N
     config = MCConfig(1, MEMORY_N, (0.5, 1.0, 2.0), 10)
-    drawn = run_grid("normal_cv", config.theta_grid, 10, 1.0, config,
-                     ["sample_mean", "sample_sd"])
-    monkeypatch.setattr(verify, "run_grid", lambda *args, **kwargs: drawn)
-    tracemalloc.start()
-    try:
-        rep = verify.verify_independence("sample_mean", "sample_sd", "normal_cv", config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _predrawn(monkeypatch, "normal_cv", ["sample_mean", "sample_sd"], config)
+    peak, rep = _traced_peak(
+        lambda: verify.verify_independence("sample_mean", "sample_sd", "normal_cv", config))
     assert rep.statistics["bins"] == 10
     assert peak < 12 * MEMORY_N
+
+
+def test_independence_keeps_one_grid_point_at_a_time():
+    # drawn and binned by its own run_grid: one point's two margins (16 N)
+    # and its binning (a sorted copy and three int8 or bool arrays, 11 N);
+    # with every point's margins kept to the end it was 58 N
+    config = MCConfig(1, MEMORY_N, (0.5, 1.0, 2.0), 10)
+    peak, rep = _traced_peak(
+        lambda: verify.verify_independence("sample_mean", "sample_sd", "normal_cv", config))
+    assert rep.statistics["bins"] == 10
+    assert peak < 30 * MEMORY_N
+
+
+def test_variance_table_moments_make_no_whole_sample_temporary(monkeypatch):
+    # two whole-sample deviation arrays per column (16 N) before the blocks
+    config = MCConfig(1, MEMORY_N, (0.5, 1.0, 2.0), 10)
+    _predrawn(monkeypatch, "normal_cv", ["khan_linear", "normalcv_mle"], config)
+    peak, _ = _traced_peak(
+        lambda: verify.variance_table(["khan_linear", "normalcv_mle"], "normal_cv", config))
+    assert peak < 2 * MEMORY_N
+
+
+def test_ancillarity_mean_and_ks_make_no_whole_sample_temporary(monkeypatch):
+    # one whole-sample deviation array per point (8 N) before the blocks
+    config = MCConfig(1, MEMORY_N, (0.5, 1.0, 2.0, 4.0), 5)
+    _predrawn(monkeypatch, "nile", ["nile_product"], config)
+    peak, rep = _traced_peak(lambda: verify.verify_ancillarity("nile", "nile_product", config))
+    assert rep.verdicts == {"distribution-invariant": "pass"}
+    assert peak < 2 * MEMORY_N
 
 
 #: One config per streamed path: first-order, rao with a calibrated log
