@@ -9,15 +9,15 @@ and estimator risk comparisons.
 Reproducibility contract: all randomness flows from ``MCConfig.master_seed``.
 Replicates are partitioned into a fixed number of chunks (independent of
 the worker count); chunk ``i`` of grid point ``g`` always consumes the
-same spawned substream and fills the same slice of its grid point's
-arrays, or gives the same moments.  The grid points whose arrays are kept
-are drawn one at a time; a ``per_point`` reducer (independence's table
-counts) takes each point's arrays once all its chunks are in, so only one
-point's sample is alive at once.  The moment-only verifiers (first-order,
-rao with its calibration run, and fisher-info) keep no replicate: each chunk is
-reduced to its count, mean and central sums M2, M3, M4, and the chunks are
-merged in chunk order, not in the order the workers finish them.  Reports
-are therefore bit-identical across worker counts.
+same spawned substream.  The grid points are drawn one at a time, and each
+point's chunks are put together in chunk order, not in the order the
+workers finish them: the kept arrays, each chunk's values in its own
+slice with the gaps of dropped replicates closed, or, for the moment-only
+verifiers (first-order, rao with its calibration run, and fisher-info),
+each chunk's count, mean and central sums M2, M3, M4, merged.  A
+``per_point`` reducer (independence's table counts) takes each point's
+arrays once all its chunks are in, so only one point's sample is alive at
+once.  Reports are therefore bit-identical across worker counts.
 """
 
 from __future__ import annotations
@@ -154,9 +154,10 @@ def _khan_linear(sim, theta, n, c):
 
 
 def _score(sim, theta, n, c):
-    """Score of the first observation of N(theta, (c theta)^2)."""
-    d = sim["x1"] - theta
-    return -1.0 / theta + d / (c * c * theta * theta) + d * d / (c * c * theta ** 3)
+    """Score of the first observation of N(theta, (c theta)^2), from its pivot
+    u = (x1 - theta) / theta, so that no power of theta is formed."""
+    u = (sim["x1"] - theta) / theta
+    return (-1.0 + u / (c * c) + u * u / (c * c)) / theta
 
 
 _NILE, _CV, _UNIFORM = {"nile"}, {"normal_cv"}, {"uniform_location"}
@@ -301,20 +302,19 @@ def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names, *,
     counted.  Statistics (ValueError) and grid points (DomainError) are
     checked before sampling.
 
-    The grid points are drawn one at a time: every chunk of a point is in
-    before the next point's first chunk starts.  With ``per_point`` the
-    arrays are not kept: the function maps each point's ``{name: array}``
-    (degenerate replicates dropped), as soon as it is drawn, to a dict of
-    name -> array, which the returned list holds in its place, and the
-    point's arrays are released before the next point is drawn; so at most
-    one grid point's sample is alive at once.
+    Each grid point is one pass of the pool over its chunks, done before
+    the next point's first chunk starts.  A chunk drops its degenerate
+    replicates and writes the rest from its slice start; the point then
+    closes the gaps in place, in chunk order.  With ``per_point`` the
+    function maps each point's ``{name: array}`` to the dict the returned
+    list holds in its place, and the arrays are released before the next
+    point is drawn.
 
     With ``moments_of`` no replicate is kept: the function maps each chunk's
     ``{name: array}`` (degenerate replicates dropped) to ``{quantity:
     array}``, and each grid point's dict holds, per quantity, the float64
     array ``[count, mean, M2, M3, M4]`` (``_moments``) of the chunks merged
-    in chunk order.  The chunks of every grid point share one pass of the
-    pool, and ``per_point`` is not read.
+    in chunk order; ``per_point`` is not read.
     """
     grid = list(grid)
     stats = {name: resolve_statistic(name, token, n) for name in names}
@@ -328,12 +328,12 @@ def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names, *,
     starts = np.cumsum([0] + sizes).tolist()
     children = np.random.SeedSequence(config.master_seed).spawn(len(grid) * len(sizes))
 
-    def one_chunk(gi, ci, arrays=None):
-        """Chunk ``ci`` of grid point ``gi``: its count of degenerate replicates,
-        and its moments (streamed) or its degenerate mask, if any (its slice of
-        each of the point's ``arrays`` filled)."""
+    def one_chunk(gi, arrays, ci):
+        """Chunk ``ci`` of grid point ``gi``: its count of dropped (degenerate)
+        replicates, and what it keeps: the moments of ``moments_of``'s
+        quantities, or the count of values it wrote into ``arrays``."""
         rng = np.random.default_rng(children[gi * len(sizes) + ci])
-        # an extreme theta overflows here, and the finiteness checks below report
+        # an extreme theta overflows here, and the finiteness check below reports
         # it; numpy's errstate is per thread, and a pool thread does not inherit it
         with np.errstate(over="ignore", invalid="ignore"):
             if direct:
@@ -342,60 +342,47 @@ def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names, *,
                 draws = family.draw(grid[gi], c, rng, (sizes[ci], per_replicate))
                 sim = reduce(family, draws, n, reads | {"degenerate"})
             bad = sim.get("degenerate")
-            bad = bad if bad is not None and bad.any() else None
             dropped = 0 if bad is None else int(bad.sum())
             vals = {name: stat.compute(sim, grid[gi], n, c) for name, stat in stats.items()}
+            if dropped:
+                vals = {name: v[~bad] for name, v in vals.items()}
             for name, v in vals.items():  # e.g. an overflow at an extreme theta
-                finite = np.isfinite(v)
-                if not (finite.all() or (bad is not None and (finite | bad).all())):
+                if not np.isfinite(v).all():
                     raise VerificationError(f"statistic {name!r} is not finite on a replicate "
                                             f"at theta={grid[gi]:g}")
-            if arrays is not None:
-                for name, v in vals.items():
-                    arrays[name][starts[ci]:starts[ci + 1]] = v
-                return dropped, bad
-            if bad is not None:
-                vals = {name: v[~bad] for name, v in vals.items()}
-            return dropped, {q: _moments(np.asarray(v, dtype=float))
-                             for q, v in moments_of(vals).items()}
+            if moments_of is not None:
+                return dropped, {q: _moments(np.asarray(v, dtype=float))
+                                 for q, v in moments_of(vals).items()}
+            kept = sizes[ci] - dropped
+            for name, v in vals.items():
+                arrays[name][starts[ci]:starts[ci] + kept] = v
+            return dropped, kept
 
-    def draw_point(gi):
-        """Grid point ``gi``'s dict of name -> array, degenerate replicates
-        dropped, and its count of them."""
-        arrays = {name: np.empty(config.replicates) for name in stats}
-        masks = list(pool.map(functools.partial(one_chunk, gi, arrays=arrays), range(len(sizes))))
-        dropped = sum(d for d, _ in masks)
-        if dropped:
-            keep = np.ones(config.replicates, dtype=bool)
-            for ci, (_, bad) in enumerate(masks):
-                if bad is not None:
-                    keep[starts[ci]:starts[ci + 1]] = ~bad
-            arrays = {name: arr[keep] for name, arr in arrays.items()}
-        return arrays, dropped
-
+    out, degenerate = [], 0
     pool = ThreadPoolExecutor(max_workers=config.workers)
     try:  # a failed chunk cancels the chunks not yet started
-        if moments_of is not None:
-            tasks = [(gi, ci) for gi in range(len(grid)) for ci in range(len(sizes))]
-            chunks = list(pool.map(one_chunk, *zip(*tasks)))
-        else:
-            out, degenerate = [], 0
-            for gi in range(len(grid)):
-                point, dropped = draw_point(gi)
-                degenerate += dropped
-                out.append(point if per_point is None else per_point(point))
-                del point  # released before the next point is drawn
-            return out, degenerate
+        for gi in range(len(grid)):
+            arrays = None if moments_of else {name: np.empty(config.replicates) for name in stats}
+            chunks = list(pool.map(functools.partial(one_chunk, gi, arrays), range(len(sizes))))
+            degenerate += sum(dropped for dropped, _ in chunks)
+            if moments_of is not None:
+                with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or nan
+                    # merged in chunk order, not in the order chunks finished
+                    out.append(functools.reduce(lambda a, b: {q: _merge(a[q], b[q]) for q in a},
+                                                (kept for _, kept in chunks)))
+                continue
+            end = 0
+            for start, (_, kept) in zip(starts, chunks):  # close the dropped replicates' gaps
+                if start != end:
+                    for arr in arrays.values():
+                        arr[end:end + kept] = arr[start:start + kept]
+                end += kept
+            point = {name: arr[:end] for name, arr in arrays.items()}
+            out.append(point if per_point is None else per_point(point))
+            del arrays, point  # released before the next point is drawn
     finally:
         pool.shutdown(cancel_futures=True)
-
-    degenerate = sum(dropped for dropped, _ in chunks)
-    points = [[kept for _, kept in chunks[gi * len(sizes):(gi + 1) * len(sizes)]]
-              for gi in range(len(grid))]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or nan
-        # merged in chunk order, not in the order chunks finished
-        return [functools.reduce(lambda a, b: {q: _merge(a[q], b[q]) for q in a}, point)
-                for point in points], degenerate
+    return out, degenerate
 
 
 def _mean_se(moments: np.ndarray) -> tuple[float, float]:
@@ -844,11 +831,12 @@ def fisher_info(theta: float, c: float, config: MCConfig) -> VerificationReport:
 
     Also reports the location-only information 1/(c^2 theta^2) and the
     ratio (2 c^2 + 1) between the two.  Streams: keeps the moments of the
-    score, not its replicates.
+    score, not its replicates: those of theta times the score, whose fourth
+    central moment stays in the float range at a large theta.
     """
     per_point, _ = run_grid("normal_cv", (theta,), 1, c, config, ["score"],
-                            moments_of=lambda sim: sim)
-    var, se = _var_se(per_point[0]["score"])
+                            moments_of=lambda sim: {"score": theta * sim["score"]})
+    var, se = (v / (theta * theta) for v in _var_se(per_point[0]["score"]))
     closed = (2.0 + 1.0 / (c * c)) / (theta * theta)
     location_only = 1.0 / (c * c * theta * theta)
     z = _z(var - closed, se, "score_variance", theta)

@@ -334,7 +334,6 @@ OVERFLOW_CONFIGS = [
      "replicates = 4000\n", "error: sample_mean at theta=1e+200 has mean "),
     # not an overflow, but the same non-finite SE: one replicate has none
     ("kind = ancillarity\nreplicates = 1\n", "error: nile_product at theta=0.5 has mean "),
-    ("kind = fisher-info\ntheta = 1e150\nreplicates = 2000\n", "error: float overflow: "),
     ("kind = rao\nfamily = normal_cv\nestimator = khan_linear\ntransform = identity\n"
      "grid = 1e200\nreplicates = 2000\n", "error: float overflow: "),
 ]
@@ -348,6 +347,18 @@ def test_overflow_exits_one_with_error_line(tmp_path, capsys, text, message):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(message)
     assert not list(out.glob("*"))
+
+
+def test_fisher_info_at_an_extreme_theta_reports(tmp_path, capsys):
+    # the score is formed from its pivot (x1 - theta) / theta and its moments
+    # from theta times the score, so no power of theta overflows
+    cfg = _write(tmp_path, "kind = fisher-info\ntheta = 1e150\nreplicates = 2000\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "exp.report.json").read_text())
+    assert report["verdicts"] == {"matches-closed-form": "pass"}
+    assert report["statistics"][0]["closed_form"] == pytest.approx(3e-300, rel=1e-12)
 
 
 def test_cond_moment_below_the_table_grid_gives_no_warning(tmp_path, capsys):

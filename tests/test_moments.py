@@ -16,9 +16,10 @@ import pytest
 
 from nilelab import verify
 from nilelab.cli import main
-from nilelab.verify import (_BLOCK, MCConfig, VerificationError, ZeroMeanSpec, _merge,
-                            _moments, fisher_info, identity, rao_zero_cov, run_grid,
-                            verify_first_order)
+from nilelab.families import FAMILIES
+from nilelab.verify import (_BLOCK, N_CHUNKS, STATISTICS, MCConfig, VerificationError,
+                            ZeroMeanSpec, _chunk_sizes, _merge, _moments, fisher_info, identity,
+                            rao_zero_cov, run_grid, verify_first_order)
 
 _X = np.random.default_rng(21).exponential(3.0, size=1001)
 
@@ -127,6 +128,36 @@ def test_streamed_rao_counts_the_dropped_replicates():
     assert rep.degenerate_count == degenerate == 286
 
 
+#: normal_cv at c = 1e-15 and n = 2, where some samples have s = 0 and are dropped.
+_DROPS = ("normal_cv", 2, 1e-15)
+_DROP_NAMES = ["khan_linear", "sample_mean"]
+
+
+@pytest.mark.parametrize("workers", (1, 3))
+def test_dropped_replicates_keep_chunk_order(workers):
+    token, n, c = _DROPS
+    config = MCConfig(master_seed=9, replicates=2_000, theta_grid=(1.0, 0.5), n=n,
+                      workers=workers)
+    points, degenerate = run_grid(token, config.theta_grid, n, c, config, _DROP_NAMES)
+    sizes = _chunk_sizes(config.replicates, N_CHUNKS)
+    children = np.random.SeedSequence(config.master_seed).spawn(2 * len(sizes))
+    dropped = []
+    for gi, (theta, point) in enumerate(zip(config.theta_grid, points)):
+        kept = {name: [] for name in _DROP_NAMES}
+        dropped.append(0)
+        for ci, size in enumerate(sizes):
+            rng = np.random.default_rng(children[gi * len(sizes) + ci])
+            sim = FAMILIES[token].direct.draw(theta, c, rng, size, n)
+            keep = ~sim["degenerate"]
+            dropped[gi] += size - int(keep.sum())
+            for name in _DROP_NAMES:
+                kept[name].append(STATISTICS[name].compute(sim, theta, n, c)[keep])
+        for name in _DROP_NAMES:
+            assert np.array_equal(point[name], np.concatenate(kept[name]))
+    assert dropped[0] == 286 and dropped[1] > 0
+    assert degenerate == sum(dropped)
+
+
 def _traced_peak(fn):
     """The largest traced allocation total while ``fn()`` runs, and its result."""
     tracemalloc.start()
@@ -193,6 +224,17 @@ def test_independence_keeps_one_grid_point_at_a_time():
     assert peak < 30 * MEMORY_N
 
 
+def test_dropped_replicates_are_closed_up_in_place():
+    # one point's two columns (16 N); compacting them through a mask into
+    # new arrays made it 31.9 N
+    token, n, c = _DROPS
+    config = MCConfig(9, MEMORY_N, (1.0,), n)
+    peak, (points, degenerate) = _traced_peak(
+        lambda: run_grid(token, (1.0,), n, c, config, _DROP_NAMES))
+    assert degenerate > 0 and points[0]["sample_mean"].size == MEMORY_N - degenerate
+    assert peak < 20 * MEMORY_N
+
+
 def test_variance_table_moments_make_no_whole_sample_temporary(monkeypatch):
     # two whole-sample deviation arrays per column (16 N) before the blocks
     config = MCConfig(1, MEMORY_N, (0.5, 1.0, 2.0), 10)
@@ -213,8 +255,9 @@ def test_ancillarity_mean_and_ks_make_no_whole_sample_temporary(monkeypatch):
 
 #: One config per streamed path: first-order, rao with a calibrated log
 #: transform, with the exact normal_unit contrast and with the median
-#: indicator, and fisher-info.
-STREAMED_CONFIGS = {
+#: indicator, and fisher-info; and two array-path kinds on samples with
+#: dropped replicates.
+WORKER_COUNT_CONFIGS = {
     "first-order": "kind = first-order\nreplicates = 4000\n",
     "rao-log": "kind = rao\nfamily = nile\nestimator = nile_mle\ntransform = log\n"
                "n = 1\nreplicates = 4000\n",
@@ -223,13 +266,18 @@ STREAMED_CONFIGS = {
     "rao-indicator": "kind = rao\nfamily = nile\nestimator = nile_mle\ntransform = indicator\n"
                      "n = 3\nreplicates = 4000\n",
     "fisher-info": "kind = fisher-info\ntheta = 2\nc = 0.5\nreplicates = 4000\n",
+    "variance-table-drops": "kind = variance-table\nfamily = normal_cv\n"
+                            "estimators = khan_linear,normalcv_mle\nc = 1e-15\nn = 2\n"
+                            "replicates = 4000\n",
+    "ancillarity-drops": "kind = ancillarity\nfamily = normal_cv\nstatistic = sample_mean\n"
+                         "c = 1e-15\nn = 2\nreplicates = 4000\n",
 }
 
 
-@pytest.mark.parametrize("kind", STREAMED_CONFIGS)
+@pytest.mark.parametrize("kind", WORKER_COUNT_CONFIGS)
 def test_streamed_reports_do_not_depend_on_the_worker_count(kind, tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(STREAMED_CONFIGS[kind])
+    cfg.write_text(WORKER_COUNT_CONFIGS[kind])
     reports = {}
     for workers in (1, 2, 3):
         out = tmp_path / f"w{workers}"
@@ -239,4 +287,5 @@ def test_streamed_reports_do_not_depend_on_the_worker_count(kind, tmp_path, caps
         echo = f'"workers": {workers}'
         assert text.count(echo) == 1
         reports[workers] = text.replace(echo, '"workers": _')
+        assert kind.endswith("-drops") == ('"degenerate_count": 0,' not in text)
     assert reports[1] == reports[2] == reports[3]
