@@ -14,10 +14,10 @@ point's chunks are put together in chunk order, not in the order the
 workers finish them: the kept arrays, each chunk's values in its own
 slice with the gaps of dropped replicates closed, or, for the moment-only
 verifiers (first-order, rao with its calibration run, and fisher-info),
-each chunk's count, mean and central sums M2, M3, M4, merged.  A
-``per_point`` reducer (independence's table counts) takes each point's
-arrays once all its chunks are in, so only one point's sample is alive at
-once.  Reports are therefore bit-identical across worker counts.
+each chunk's count, mean and central sums M2, M3, M4, merged, or, for
+independence, each chunk's table of counts, summed; its bin edges come
+from a pilot drawn from ``master_seed + 1``'s substreams, which no counted
+chunk uses.  Reports are therefore bit-identical across worker counts.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import functools
 import math
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import chdtrc, ndtr  # chi-square survival function, normal CDF
@@ -291,7 +291,7 @@ def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names, *,
-             moments_of=None, per_point=None) -> tuple[list[dict], int]:
+             moments_of=None, counts_of=None) -> tuple[list[dict], int]:
     """Simulate each grid point and evaluate ``names``; deterministic in workers.
 
     Returns (per-grid-point dict of name -> array, degenerate count).  When
@@ -299,22 +299,19 @@ def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names, *,
     the sufficient statistic is drawn directly; otherwise the observations
     are drawn and only the names read are reduced.  Replicates with a
     degenerate sample (no spread) are dropped from every statistic and
-    counted.  Statistics (ValueError) and grid points (DomainError) are
-    checked before sampling.
+    counted; a point that keeps none raises VerificationError.  Statistics
+    (ValueError) and grid points (DomainError) are checked before sampling.
 
     Each grid point is one pass of the pool over its chunks, done before
     the next point's first chunk starts.  A chunk drops its degenerate
     replicates and writes the rest from its slice start; the point then
-    closes the gaps in place, in chunk order.  With ``per_point`` the
-    function maps each point's ``{name: array}`` to the dict the returned
-    list holds in its place, and the arrays are released before the next
-    point is drawn.
+    closes the gaps in place, in chunk order.
 
-    With ``moments_of`` no replicate is kept: the function maps each chunk's
+    With a hook no replicate is kept.  ``moments_of`` maps each chunk's
     ``{name: array}`` (degenerate replicates dropped) to ``{quantity:
-    array}``, and each grid point's dict holds, per quantity, the float64
-    array ``[count, mean, M2, M3, M4]`` (``_moments``) of the chunks merged
-    in chunk order; ``per_point`` is not read.
+    array}``, kept as the float64 ``[count, mean, M2, M3, M4]`` (``_moments``)
+    of the chunks merged in chunk order; ``counts_of(gi, arrays)`` maps them
+    at grid point ``gi`` to ``{quantity: integer array}``, kept summed.
     """
     grid = list(grid)
     stats = {name: resolve_statistic(name, token, n) for name in names}
@@ -327,11 +324,12 @@ def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names, *,
     sizes = _chunk_sizes(config.replicates, N_CHUNKS)
     starts = np.cumsum([0] + sizes).tolist()
     children = np.random.SeedSequence(config.master_seed).spawn(len(grid) * len(sizes))
+    merge = _merge if moments_of is not None else np.add if counts_of is not None else None
 
     def one_chunk(gi, arrays, ci):
         """Chunk ``ci`` of grid point ``gi``: its count of dropped (degenerate)
         replicates, and what it keeps: the moments of ``moments_of``'s
-        quantities, or the count of values it wrote into ``arrays``."""
+        quantities, ``counts_of``'s counts, or the count it wrote to ``arrays``."""
         rng = np.random.default_rng(children[gi * len(sizes) + ci])
         # an extreme theta overflows here, and the finiteness check below reports
         # it; numpy's errstate is per thread, and a pool thread does not inherit it
@@ -350,9 +348,10 @@ def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names, *,
                 if not np.isfinite(v).all():
                     raise VerificationError(f"statistic {name!r} is not finite on a replicate "
                                             f"at theta={grid[gi]:g}")
-            if moments_of is not None:
-                return dropped, {q: _moments(np.asarray(v, dtype=float))
-                                 for q, v in moments_of(vals).items()}
+            if merge is not None:
+                return dropped, (counts_of(gi, vals) if moments_of is None else
+                                 {q: _moments(np.asarray(v, dtype=float))
+                                  for q, v in moments_of(vals).items()})
             kept = sizes[ci] - dropped
             for name, v in vals.items():
                 arrays[name][starts[ci]:starts[ci] + kept] = v
@@ -362,13 +361,17 @@ def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names, *,
     pool = ThreadPoolExecutor(max_workers=config.workers)
     try:  # a failed chunk cancels the chunks not yet started
         for gi in range(len(grid)):
-            arrays = None if moments_of else {name: np.empty(config.replicates) for name in stats}
+            arrays = None if merge else {name: np.empty(config.replicates) for name in stats}
             chunks = list(pool.map(functools.partial(one_chunk, gi, arrays), range(len(sizes))))
-            degenerate += sum(dropped for dropped, _ in chunks)
-            if moments_of is not None:
+            lost = sum(dropped for dropped, _ in chunks)
+            if lost == config.replicates:  # e.g. c * theta below the float spacing
+                raise VerificationError(f"every replicate at theta={grid[gi]:g} is degenerate; "
+                                        f"there is no sample to test")
+            degenerate += lost
+            if merge is not None:
                 with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or nan
                     # merged in chunk order, not in the order chunks finished
-                    out.append(functools.reduce(lambda a, b: {q: _merge(a[q], b[q]) for q in a},
+                    out.append(functools.reduce(lambda a, b: {q: merge(a[q], b[q]) for q in a},
                                                 (kept for _, kept in chunks)))
                 continue
             end = 0
@@ -377,9 +380,7 @@ def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names, *,
                     for arr in arrays.values():
                         arr[end:end + kept] = arr[start:start + kept]
                 end += kept
-            point = {name: arr[:end] for name, arr in arrays.items()}
-            out.append(point if per_point is None else per_point(point))
-            del arrays, point  # released before the next point is drawn
+            out.append({name: arr[:end] for name, arr in arrays.items()})
     finally:
         pool.shutdown(cancel_futures=True)
     return out, degenerate
@@ -482,14 +483,11 @@ def verify_ancillarity(token: str, statistic: str, config: MCConfig,
     """
     if len(config.theta_grid) < 2:
         raise ValueError("ancillarity check needs at least 2 grid points")
-    per_point, degenerate = run_grid(token, config.theta_grid, config.n, c,
-                                     config, [statistic])
-    samples = [p[statistic] for p in per_point]
+    drawn, degenerate = run_grid(token, config.theta_grid, config.n, c,
+                                 config, [statistic])
+    samples = [p[statistic] for p in drawn]
     points = []
     for t, s in zip(config.theta_grid, samples):
-        if s.size == 0:
-            raise VerificationError(f"every replicate at theta={t:g} is degenerate; "
-                                    f"there is no sample to compare")
         m, se = _mean_se(_moments(s, order=2))
         if not (math.isfinite(m) and math.isfinite(se)):  # squares overflowed, or N = 1
             raise VerificationError(f"{statistic} at theta={t:g} has mean {m:g} (SE {se:g}); "
@@ -528,9 +526,9 @@ def verify_first_order(token: str, statistic: str, config: MCConfig,
     point where the statistic is constant (SE 0) raises VerificationError.
     Streams: keeps the moments of each grid point, not its replicates.
     """
-    per_point, degenerate = run_grid(token, config.theta_grid, config.n, c,
-                                     config, [statistic], moments_of=lambda sim: sim)
-    means, ses = zip(*(_mean_se(p[statistic]) for p in per_point))
+    drawn, degenerate = run_grid(token, config.theta_grid, config.n, c,
+                                 config, [statistic], moments_of=lambda sim: sim)
+    means, ses = zip(*(_mean_se(p[statistic]) for p in drawn))
     for t, se in zip(config.theta_grid, ses):
         _z(0.0, se, statistic, t)
     target_fn = resolve_statistic(statistic, token, config.n).target
@@ -556,25 +554,31 @@ def verify_first_order(token: str, statistic: str, config: MCConfig,
         verdicts=verdicts, seed=config.master_seed, degenerate_count=degenerate)
 
 
-def _quantile_bins(arr: np.ndarray, k: int) -> np.ndarray:
-    """The int8 bin of each element of ``arr`` among its k-quantile edges.
+def _quantile_edges(arr: np.ndarray, k: int) -> np.ndarray:
+    """The distinct k-quantile edges of ``arr``, ascending, from a sorted copy: the
+    same order statistics, found faster than by partitioning the unsorted sample."""
+    return np.unique(np.quantile(np.sort(arr), np.linspace(0.0, 1.0, k + 1)[1:-1],
+                                 overwrite_input=True))
 
-    The bin is #{edges <= x}, ``np.searchsorted(edges, arr, side="right")``
-    element for element, counted with one vectorised comparison per edge
-    instead of a binary search on unsorted keys.  Preconditions: ``arr``
-    holds no NaN (one would land in bin 0, where searchsorted puts it last;
-    ``run_grid``'s finiteness check leaves none, and +-inf are binned as
-    searchsorted bins them), and there are at most 127 edges (k <= 128), so
-    every count fits in int8.
+
+def _bin_index(arrays, edges) -> np.ndarray:
+    """The int8 cell of each replicate among the bins of ``arrays`` at their
+    ascending ``edges``: of one array x, its bin #{edges[0] <= x}; of two,
+    a and b, the row-major index of (#{edges[0] <= a}, #{edges[1] <= b}).
+
+    A bin is ``np.searchsorted(e, x, side="right")`` element for element,
+    counted with one vectorised comparison per edge instead of a binary
+    search on unsorted keys.  Preconditions: no array holds a NaN (one would
+    land in bin 0, where searchsorted puts it last; ``run_grid``'s finiteness
+    check leaves none, and +-inf are binned as searchsorted bins them), and
+    there are at most 128 cells, so every index fits in int8.
     """
-    # the quantiles of a sorted copy are the same order statistics, found
-    # faster than by partitioning the unsorted sample
-    edges = np.unique(np.quantile(np.sort(arr), np.linspace(0.0, 1.0, k + 1)[1:-1],
-                                  overwrite_input=True))
-    idx = np.zeros(arr.shape, dtype=np.int8)
-    ge = np.empty(arr.shape, dtype=bool)
-    for e in edges:
-        idx += np.greater_equal(arr, e, out=ge)
+    idx = np.zeros(arrays[0].shape, dtype=np.int8)
+    ge = np.empty(arrays[0].shape, dtype=bool)
+    for arr, e in zip(arrays, edges):
+        idx *= len(e) + 1
+        for edge in e:
+            idx += np.greater_equal(arr, edge, out=ge)
     return idx
 
 
@@ -603,39 +607,33 @@ def verify_independence(stat_a: str, stat_b: str, token: str, config: MCConfig,
                         c: float = 1.0) -> VerificationReport:
     """Pass iff no dependence between stat_a and stat_b is detected at any grid point.
 
-    Each margin is split at its empirical deciles (fewer bins for small N,
-    so every expected cell count stays >= 5) and a chi-square independence
-    test is applied to the contingency table.  Each point's table is counted
-    as soon as the point is drawn, so only one point's margins are kept.
+    Each margin is split at the deciles (fewer bins for small N, so every
+    expected cell count stays >= 5) of a pilot, ceil(N / N_CHUNKS) replicates
+    a point (at least min(N, N_CHUNKS)) from ``master_seed + 1``; each chunk
+    counts its table at those edges, and a chi-square test runs on their sum.
     """
     k = min(10, max(2, int(math.sqrt(config.replicates / 5.0))))
+    pilot_config = replace(config, master_seed=config.master_seed + 1, replicates=min(
+        config.replicates, max(N_CHUNKS, -(-config.replicates // N_CHUNKS))))
+    edges = [[_quantile_edges(sim[name], k) for name in (stat_a, stat_b)] for sim in run_grid(
+        token, config.theta_grid, config.n, c, pilot_config, [stat_a, stat_b])[0]]
 
-    def count_table(sim):
-        ia = _quantile_bins(sim[stat_a], k)
-        ib = _quantile_bins(sim[stat_b], k)
-        # the shape in Python ints, not int8 scalars; the cell index, formed in
-        # place in ia, is at most 9 * 10 + 9 and fits in int8
-        rows, cols = int(ia.max()) + 1, int(ib.max()) + 1
-        ia *= cols
-        ia += ib
-        return {"table": np.bincount(ia, minlength=rows * cols).reshape(rows, cols)}
+    def count_table(gi, sim):  # in a pool thread; at most 10 x 10 cells
+        shape = [len(e) + 1 for e in edges[gi]]
+        cells = _bin_index([sim[stat_a], sim[stat_b]], edges[gi])
+        return {"table": np.bincount(cells, minlength=shape[0] * shape[1]).reshape(shape)}
 
-    per_point, degenerate = run_grid(token, config.theta_grid, config.n, c,
-                                     config, [stat_a, stat_b], per_point=count_table)
+    drawn, degenerate = run_grid(token, config.theta_grid, config.n, c,
+                                 config, [stat_a, stat_b], counts_of=count_table)
     points = []
-    min_p = 1.0
-    for t, counted in zip(config.theta_grid, per_point):
+    for t, counted in zip(config.theta_grid, drawn):
         table = counted["table"]
-        # ties can leave a quantile bin empty; it carries no information
+        # ties, or pilot edges past every counted value, leave bins empty: no information
         table = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
-        if min(table.shape) < 2:
-            # a (near-)constant statistic is independent of anything
-            p = 1.0
-            chi2 = 0.0
-        else:
-            chi2, p = chi2_contingency(table)
-        min_p = min(min_p, p)
+        # a (near-)constant statistic is independent of anything
+        chi2, p = chi2_contingency(table) if min(table.shape) >= 2 else (0.0, 1.0)
         points.append(GridPointResult(param=t, statistics={"chi2": chi2, "p_value": p}))
+    min_p = min((pt.statistics["p_value"] for pt in points), default=1.0)
     verdicts = {"independent": "pass" if min_p >= INDEPENDENCE_ALPHA else "fail"}
     return VerificationReport(
         claim=f"independence of {stat_a} and {stat_b} for {token}",
@@ -681,9 +679,9 @@ def zero_mean_from_ancillary(spec_id: str, source: str, transform, token: str,
     """
     cfg = MCConfig(master_seed=seed, replicates=calibration_n, theta_grid=(1.0,),
                    n=n, workers=workers)
-    per_point, _ = run_grid(token, (1.0,), n, c, cfg, [source],
-                            moments_of=lambda sim: {"U": transform(sim[source])})
-    center, center_se = _mean_se(per_point[0]["U"])
+    drawn, _ = run_grid(token, (1.0,), n, c, cfg, [source],
+                        moments_of=lambda sim: {"U": transform(sim[source])})
+    center, center_se = _mean_se(drawn[0]["U"])
     return ZeroMeanSpec(id=spec_id, source=source, transform=transform,
                         center=center, center_se=center_se)
 
@@ -693,8 +691,8 @@ def median_indicator(token: str, n: int, c: float, seed: int, workers: int = 1):
     theta=1 on ``workers`` threads."""
     cfg = MCConfig(master_seed=seed, replicates=100_000, theta_grid=(1.0,), n=n,
                    workers=workers)
-    per_point, _ = run_grid(token, (1.0,), n, c, cfg, ["ancillary"])
-    median = float(np.median(per_point[0]["ancillary"]))
+    drawn, _ = run_grid(token, (1.0,), n, c, cfg, ["ancillary"])
+    median = float(np.median(drawn[0]["ancillary"]))
     return lambda w: (np.asarray(w) <= median).astype(float)
 
 
@@ -737,11 +735,11 @@ def rao_zero_cov(g_stat: str, u: ZeroMeanSpec, token: str, config: MCConfig,
         g = sim[g_stat] ** power
         return {"U": uvals, "gU": g * uvals, "g": g}
 
-    per_point, degenerate = run_grid(token, config.theta_grid, config.n, c,
-                                     config, [g_stat, u.source], moments_of=quantities)
+    drawn, degenerate = run_grid(token, config.theta_grid, config.n, c,
+                                 config, [g_stat, u.source], moments_of=quantities)
     points = []
     zmax = 0.0
-    for t, moments in zip(config.theta_grid, per_point):
+    for t, moments in zip(config.theta_grid, drawn):
         m_u, se_u = _mean_se(moments["U"])
         se_u_total = math.sqrt(se_u ** 2 + u.center_se ** 2)
         if abs(m_u) > 4.0 * se_u_total:
@@ -782,15 +780,15 @@ def cond_moment_dependence(g_stat: str, token: str, theta: float,
     prediction at the bin center.  A bin of fewer than two replicates raises
     VerificationError.
     """
-    per_point, degenerate = run_grid(token, (theta,), config.n, c, config,
-                                     [g_stat, w_stat])
+    drawn, degenerate = run_grid(token, (theta,), config.n, c, config,
+                                 [g_stat, w_stat])
     predict = (STATISTICS[g_stat].cond_m2
                if w_stat in ("ancillary", FAMILIES[token].ancillary) else None)
-    sim = per_point[0]
+    sim = drawn[0]
     w = sim[w_stat]
     with np.errstate(over="ignore"):  # an overflow gives the nan spread reported below
         g2 = sim[g_stat] ** 2
-    idx = _quantile_bins(w, 10)
+    idx = _bin_index([w], [_quantile_edges(w, 10)])
     fewest = int(np.bincount(idx, minlength=10).min())
     if fewest < 2:
         raise VerificationError(f"a decile bin of {w_stat} at theta={theta:g} holds "
@@ -814,7 +812,7 @@ def cond_moment_dependence(g_stat: str, token: str, theta: float,
         if predict:
             pred = predict(center, theta, config.n)
             stats["prediction"] = pred
-            stats["prediction_z"] = _z(m - pred, se, "E[g^2|bin]", center)
+            stats["prediction_z"] = _z(m - pred, se, f"E[g^2|bin] at centre {center:g}", theta)
         points.append(GridPointResult(param=center, estimates={"E[g^2|bin]": m},
                                       se={"E[g^2|bin]": se}, statistics=stats))
     depends = spread > 4.0 * spread_se
@@ -834,9 +832,11 @@ def fisher_info(theta: float, c: float, config: MCConfig) -> VerificationReport:
     score, not its replicates: those of theta times the score, whose fourth
     central moment stays in the float range at a large theta.
     """
-    per_point, _ = run_grid("normal_cv", (theta,), 1, c, config, ["score"],
-                            moments_of=lambda sim: {"score": theta * sim["score"]})
-    var, se = (v / (theta * theta) for v in _var_se(per_point[0]["score"]))
+    if not np.finfo(float).tiny <= theta * theta < math.inf:  # the variance's divisor
+        raise VerificationError(f"score_variance at theta={theta:g}: theta^2 is not a normal float")
+    drawn, _ = run_grid("normal_cv", (theta,), 1, c, config, ["score"],
+                        moments_of=lambda sim: {"score": theta * sim["score"]})
+    var, se = (v / (theta * theta) for v in _var_se(drawn[0]["score"]))
     closed = (2.0 + 1.0 / (c * c)) / (theta * theta)
     location_only = 1.0 / (c * c * theta * theta)
     z = _z(var - closed, se, "score_variance", theta)
@@ -854,10 +854,10 @@ def fisher_info(theta: float, c: float, config: MCConfig) -> VerificationReport:
 def variance_table(estimators, token: str, config: MCConfig,
                    c: float = 1.0) -> VerificationReport:
     """MC bias, variance, and MSE per estimator per grid point."""
-    per_point, degenerate = run_grid(token, config.theta_grid, config.n, c,
-                                     config, list(estimators))
+    drawn, degenerate = run_grid(token, config.theta_grid, config.n, c,
+                                 config, list(estimators))
     points = []
-    for t, sim in zip(config.theta_grid, per_point):
+    for t, sim in zip(config.theta_grid, drawn):
         est, se, stats = {}, {}, {}
         for name in estimators:
             moments = _moments(sim[name])

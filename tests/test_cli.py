@@ -309,7 +309,8 @@ def test_quadrature_failure_exits_one_with_error_line(tmp_path, capsys):
     assert not list(out.glob("*"))
 
 
-#: Configs whose statistics overflow: each reported "pass" or raised OverflowError.
+#: Configs whose statistics overflow or underflow: each reported "pass" or raised
+#: OverflowError, ZeroDivisionError or IndexError, or named the wrong theta.
 OVERFLOW_CONFIGS = [
     ("kind = cond-moment\nestimator = nile_mle\ntheta = 1e160\nreplicates = 20000\n",
      "error: statistic 'nile_mle' is not finite on a replicate at theta=1e+160"),
@@ -336,6 +337,16 @@ OVERFLOW_CONFIGS = [
     ("kind = ancillarity\nreplicates = 1\n", "error: nile_product at theta=0.5 has mean "),
     ("kind = rao\nfamily = normal_cv\nestimator = khan_linear\ntransform = identity\n"
      "grid = 1e200\nreplicates = 2000\n", "error: float overflow: "),
+    # theta^2 underflows to 0, and a bin's zero SE is at the run's theta, not its centre's
+    ("kind = fisher-info\ntheta = 1e-200\nreplicates = 2000\n",
+     "error: score_variance at theta=1e-200: theta^2 is not a normal float"),
+    ("kind = cond-moment\ntheta = 1e-200\nreplicates = 20000\n",
+     "error: standard error of E[g^2|bin] at centre 0.262874 at theta=1e-200 is 0;"),
+    # every replicate degenerate: no value to take quantile edges from
+    ("kind = independence\nc = 1e-17\nn = 2\nreplicates = 2000\n",
+     "error: every replicate at theta=1 is degenerate; there is no sample to test"),
+    ("kind = cond-moment\nfamily = normal_cv\nestimator = khan_linear\nc = 1e-17\nn = 2\n"
+     "replicates = 2000\n", "error: every replicate at theta=1 is degenerate; there is no"),
 ]
 
 

@@ -8,6 +8,7 @@ to the third and fourth central sums.  The moment-only verifiers
 """
 
 import functools
+import json
 import math
 import tracemalloc
 
@@ -18,8 +19,9 @@ from nilelab import verify
 from nilelab.cli import main
 from nilelab.families import FAMILIES
 from nilelab.verify import (_BLOCK, N_CHUNKS, STATISTICS, MCConfig, VerificationError,
-                            ZeroMeanSpec, _chunk_sizes, _merge, _moments, fisher_info, identity,
-                            rao_zero_cov, run_grid, verify_first_order)
+                            ZeroMeanSpec, _bin_index, _chunk_sizes, _merge, _moments,
+                            _quantile_edges, fisher_info, identity, rao_zero_cov, run_grid,
+                            verify_first_order)
 
 _X = np.random.default_rng(21).exponential(3.0, size=1001)
 
@@ -191,37 +193,35 @@ def test_moment_only_verifier_keeps_no_replicate_array(verifier):
 
 def _predrawn(monkeypatch, token, names, config):
     """Draw the arrays before tracing starts and make ``run_grid`` return them,
-    each point passed through the caller's ``per_point`` if it gives one, so a
-    traced peak is the decide step's."""
-    drawn, degenerate = run_grid(token, config.theta_grid, config.n, 1.0, config, names)
-
-    def stub(*args, per_point=None, **kwargs):
-        return ([point if per_point is None else per_point(point) for point in drawn],
-                degenerate)
-
-    monkeypatch.setattr(verify, "run_grid", stub)
+    so a traced peak is the decide step's."""
+    drawn = run_grid(token, config.theta_grid, config.n, 1.0, config, names)
+    monkeypatch.setattr(verify, "run_grid", lambda *args, **kwargs: drawn)
 
 
-def test_independence_bins_in_one_byte_per_replicate(monkeypatch):
-    # the samples are drawn before tracing starts, so the peak is the decide
-    # step's; with int64 bins and cell indices it was 24 N
-    config = MCConfig(1, MEMORY_N, (0.5, 1.0, 2.0), 10)
-    _predrawn(monkeypatch, "normal_cv", ["sample_mean", "sample_sd"], config)
-    peak, rep = _traced_peak(
-        lambda: verify.verify_independence("sample_mean", "sample_sd", "normal_cv", config))
-    assert rep.statistics["bins"] == 10
+def test_independence_bins_in_one_byte_per_replicate():
+    # the table count each chunk makes, here on a whole point's margins drawn
+    # before tracing starts, at the deciles of a chunk's worth of them: an int8
+    # cell index, a bool comparison buffer, and np.bincount's intp copy of the
+    # cell index; with int64 bins and cell indices it was 24 N
+    config = MCConfig(1, MEMORY_N, (1.0,), 10)
+    point = run_grid("normal_cv", (1.0,), 10, 1.0, config, ["sample_mean", "sample_sd"])[0][0]
+    margins = [point["sample_mean"], point["sample_sd"]]
+    edges = [_quantile_edges(m[:MEMORY_N // N_CHUNKS], 10) for m in margins]
+    peak, table = _traced_peak(lambda: np.bincount(_bin_index(margins, edges), minlength=100))
+    assert table.size == 100 and table.sum() == MEMORY_N
     assert peak < 12 * MEMORY_N
 
 
 def test_independence_keeps_one_grid_point_at_a_time():
-    # drawn and binned by its own run_grid: one point's two margins (16 N)
-    # and its binning (a sorted copy and three int8 or bool arrays, 11 N);
-    # with every point's margins kept to the end it was 58 N
+    # each chunk counts its own table at edges from a pilot of N / N_CHUNKS
+    # replicates a point, so no margin is kept: the chunks' draws and the
+    # pilot (1.3 N traced with one worker); with one point's two margins kept
+    # and binned it was 26 N, and with every point's margins kept 58 N
     config = MCConfig(1, MEMORY_N, (0.5, 1.0, 2.0), 10)
     peak, rep = _traced_peak(
         lambda: verify.verify_independence("sample_mean", "sample_sd", "normal_cv", config))
     assert rep.statistics["bins"] == 10
-    assert peak < 30 * MEMORY_N
+    assert peak < 8 * MEMORY_N
 
 
 def test_dropped_replicates_are_closed_up_in_place():
@@ -255,7 +255,8 @@ def test_ancillarity_mean_and_ks_make_no_whole_sample_temporary(monkeypatch):
 
 #: One config per streamed path: first-order, rao with a calibrated log
 #: transform, with the exact normal_unit contrast and with the median
-#: indicator, and fisher-info; and two array-path kinds on samples with
+#: indicator, and fisher-info; independence's per-chunk tables, also on
+#: samples with dropped replicates; and two array-path kinds on samples with
 #: dropped replicates.
 WORKER_COUNT_CONFIGS = {
     "first-order": "kind = first-order\nreplicates = 4000\n",
@@ -266,6 +267,9 @@ WORKER_COUNT_CONFIGS = {
     "rao-indicator": "kind = rao\nfamily = nile\nestimator = nile_mle\ntransform = indicator\n"
                      "n = 3\nreplicates = 4000\n",
     "fisher-info": "kind = fisher-info\ntheta = 2\nc = 0.5\nreplicates = 4000\n",
+    "independence": "kind = independence\nreplicates = 4000\n",
+    "independence-drops": "kind = independence\nfamily = normal_cv\nc = 1e-15\nn = 2\n"
+                          "replicates = 4000\n",
     "variance-table-drops": "kind = variance-table\nfamily = normal_cv\n"
                             "estimators = khan_linear,normalcv_mle\nc = 1e-15\nn = 2\n"
                             "replicates = 4000\n",
@@ -275,9 +279,20 @@ WORKER_COUNT_CONFIGS = {
 
 
 @pytest.mark.parametrize("kind", WORKER_COUNT_CONFIGS)
-def test_streamed_reports_do_not_depend_on_the_worker_count(kind, tmp_path, capsys):
+def test_streamed_reports_do_not_depend_on_the_worker_count(kind, tmp_path, capsys,
+                                                            monkeypatch):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(WORKER_COUNT_CONFIGS[kind])
+    tables = []  # each counted run's per-point tables
+    real = verify.run_grid
+
+    def recording(*args, **kwargs):
+        points, degenerate = real(*args, **kwargs)
+        if "counts_of" in kwargs:
+            tables.append([p["table"] for p in points])
+        return points, degenerate
+
+    monkeypatch.setattr(verify, "run_grid", recording)
     reports = {}
     for workers in (1, 2, 3):
         out = tmp_path / f"w{workers}"
@@ -288,4 +303,8 @@ def test_streamed_reports_do_not_depend_on_the_worker_count(kind, tmp_path, caps
         assert text.count(echo) == 1
         reports[workers] = text.replace(echo, '"workers": _')
         assert kind.endswith("-drops") == ('"degenerate_count": 0,' not in text)
+        if kind.startswith("independence"):  # its one grid point's table counts every kept replicate
+            (table,) = tables[-1]
+            assert table.sum() == 4000 - json.loads(text)["degenerate_count"]
+    assert len(tables) == (3 if kind.startswith("independence") else 0)
     assert reports[1] == reports[2] == reports[3]

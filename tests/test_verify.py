@@ -8,9 +8,10 @@ from scipy.special import ndtr
 from nilelab.families import (FAMILIES, DomainError, bivariate_gaussian, nile, normal_cv,
                               sample, uniform_location)
 from nilelab import verify
-from nilelab.verify import (KS_CRITICAL, STATISTICS, MCConfig, VerificationError, VerificationReport,
-                            GridPointResult, ZeroMeanSpec, _mean_se, _moments, _var_se,
-                            _quantile_bins, chi2_contingency, cond_moment_dependence,
+from nilelab.verify import (KS_CRITICAL, N_CHUNKS, STATISTICS, MCConfig, VerificationError,
+                            VerificationReport, GridPointResult, ZeroMeanSpec, _bin_index,
+                            _mean_se, _moments, _quantile_edges, _var_se, chi2_contingency,
+                            cond_moment_dependence,
                             fisher_info, identity, ks_2samp, rao_zero_cov, run_grid, variance_table,
                             verify_ancillarity, verify_first_order,
                             verify_independence, zero_mean_from_ancillary)
@@ -279,6 +280,27 @@ CHI2_CASES = {
 }
 
 
+def _pilot_edge_tables(cfg, stat_a, stat_b, k):
+    """Each grid point's contingency table, rebuilt outside ``verify_independence``:
+    the np.add.at count of the counted replicates (seed ``master_seed``) in the
+    bins that searchsorted gives at the k-quantiles of the pilot (seed ``master_seed + 1``,
+    ceil(N / N_CHUNKS) replicates, at least min(N, N_CHUNKS)), empty rows and columns dropped."""
+    names = [stat_a, stat_b]
+    size = min(cfg.replicates, max(N_CHUNKS, math.ceil(cfg.replicates / N_CHUNKS)))
+    pilot_cfg = _cfg(seed=cfg.master_seed + 1, replicates=size, grid=cfg.theta_grid, n=cfg.n)
+    pilot, _ = run_grid("normal_cv", cfg.theta_grid, cfg.n, 1.0, pilot_cfg, names)
+    counted, _ = run_grid("normal_cv", cfg.theta_grid, cfg.n, 1.0, cfg, names)
+    q = np.linspace(0.0, 1.0, k + 1)[1:-1]
+    tables = []
+    for drawn, sim in zip(pilot, counted):
+        edges = [np.unique(np.quantile(drawn[name], q)) for name in names]
+        table = np.zeros([len(e) + 1 for e in edges], dtype=np.int64)
+        np.add.at(table, tuple(np.searchsorted(e, sim[name], side="right")
+                               for e, name in zip(edges, names)), 1)
+        tables.append(table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0])
+    return tables
+
+
 class TestChi2Contingency:
     @pytest.mark.parametrize("case", CHI2_CASES)
     def test_equals_scipy_exactly(self, case):
@@ -293,11 +315,9 @@ class TestChi2Contingency:
         cfg = _cfg(seed=5, replicates=20, grid=grid, n=5)
         rep = verify_independence("sample_mean", "sample_sd", "normal_cv", cfg)
         assert rep.statistics["bins"] == 2
-        per_point, _ = run_grid("normal_cv", grid, 5, 1.0, cfg, ["sample_mean", "sample_sd"])
-        for point, sim in zip(rep.points, per_point):
-            table = np.zeros((2, 2), dtype=np.int64)
-            np.add.at(table, (_quantile_bins(sim["sample_mean"], 2),
-                              _quantile_bins(sim["sample_sd"], 2)), 1)
+        tables = _pilot_edge_tables(cfg, "sample_mean", "sample_sd", 2)
+        assert [t.shape for t in tables] == [(2, 2)] * len(grid)
+        for point, table in zip(rep.points, tables):
             stat, p = _scipy_chi2(table)
             assert (point.statistics["chi2"], point.statistics["p_value"]) == (stat, p)
 
@@ -314,13 +334,7 @@ class TestChi2Contingency:
                             lambda t: tables.append(t) or chi2_contingency(t))
         rep = verify_independence(stat_a, stat_b, "normal_cv", cfg)
         k = rep.statistics["bins"]
-        per_point, _ = run_grid("normal_cv", grid, 3, 1.0, cfg, [stat_a, stat_b])
-        expected = []
-        for sim in per_point:
-            ia, ib = _quantile_bins(sim[stat_a], k), _quantile_bins(sim[stat_b], k)
-            table = np.zeros((k, k), dtype=np.int64)
-            np.add.at(table, (ia, ib), 1)
-            expected.append(table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0])
+        expected = _pilot_edge_tables(cfg, stat_a, stat_b, k)
         assert len(tables) == len(expected)
         for got, want in zip(tables, expected):
             assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -342,7 +356,7 @@ class TestChi2Contingency:
         }
         q = np.linspace(0.0, 1.0, k + 1)[1:-1]
         for name, arr in arrays.items():
-            got = _quantile_bins(arr, k)
+            got = _bin_index([arr], [_quantile_edges(arr, k)])
             expected = np.searchsorted(np.unique(np.quantile(arr, q)), arr, side="right")
             assert got.dtype.itemsize == 1, name
             assert np.array_equal(got, expected), name
@@ -367,6 +381,39 @@ class TestIndependence:
         assert rep.verdict == "pass"
         assert rep.statistics["min_p_value"] == 1.0
         assert all(p.statistics["chi2"] == 0.0 for p in rep.points)
+
+    def test_pilot_shares_no_draw_with_the_counted_replicates(self, monkeypatch):
+        # the pilot's substreams are spawned from master_seed + 1; spawned from
+        # master_seed, its first chunk would repeat the counted first chunk
+        cfg = _cfg(seed=3, replicates=4000, grid=(0.5, 1.0, 2.0), n=5, workers=2)
+        pilot, counted = [], []
+        real = verify.run_grid
+
+        def recording(*args, counts_of=None, **kwargs):
+            if counts_of is None:
+                points, degenerate = real(*args, **kwargs)
+                pilot.extend(p[name] for p in points for name in p)
+                return points, degenerate
+
+            def hook(gi, sim):
+                counted.extend(sim.values())
+                return counts_of(gi, sim)
+            return real(*args, counts_of=hook, **kwargs)
+
+        monkeypatch.setattr(verify, "run_grid", recording)
+        verify_independence("sample_mean", "sample_sd", "normal_cv", cfg)
+        pilot, counted = np.concatenate(pilot), np.concatenate(counted)
+        assert pilot.size == 3 * 2 * N_CHUNKS and counted.size == 3 * 2 * 4000
+        assert np.intersect1d(pilot, counted).size == 0
+
+    def test_small_pilot_is_not_all_degenerate_where_the_sample_is_not(self):
+        # c = 1e-15 at n = 2 drops about 14% of replicates; a pilot of
+        # ceil(N / N_CHUNKS) = 1 replicate, not min(N, N_CHUNKS), was all
+        # degenerate at 6 of these 40 seeds and stopped the run
+        for seed in range(40):
+            rep = verify_independence("sample_mean", "sample_sd", "normal_cv",
+                                      _cfg(seed=seed, replicates=64, grid=(1.0,), n=2), c=1e-15)
+            assert 0 < rep.degenerate_count < 64
 
     def test_mean_independent_of_range_conditional_claim_fails(self):
         # xbar and the range are dependent for uniform samples
