@@ -158,8 +158,11 @@ def _ancillarity(cfg):
 
 def _first_order(cfg):
     family = cfg.family or "bivariate_gaussian_corr"
-    stat = _statistic("statistic", cfg.statistic or next(  # first with a known mean
-        k for k, s in verify.STATISTICS.items() if s.target and family in s.families), family, 1)
+    known = [k for k, s in verify.STATISTICS.items() if family in (s.target or ())]
+    if not (cfg.statistic or known):
+        raise ConfigError(f"field 'statistic': no statistic has a known mean on family "
+                          f"{family!r}; name one")
+    stat = _statistic("statistic", cfg.statistic or known[0], family, 1)
     grid = cfg.grid or FAMILIES[family].first_order_grid
     return verify.verify_first_order(family, stat, _mc_config(cfg, grid, n=1), c=cfg.c)
 
@@ -179,15 +182,8 @@ def _rao(cfg):
     if cfg.transform not in verify.TRANSFORMS:
         raise ConfigError(f"field 'transform': unknown transform {cfg.transform!r}")
     estimator = _statistic("estimator", cfg.estimator or "nile_mle", family, cfg.n)
-    if contrast:
-        u = verify.ZeroMeanSpec(id="first-contrast", source=contrast,
-                                transform=verify.identity, center=0.0, center_se=0.0)
-    else:
-        transform = verify.TRANSFORMS[cfg.transform](family, cfg.n, cfg.c, cfg.seed + 2,
-                                                     cfg.workers)
-        u = verify.zero_mean_from_ancillary(
-            f"{cfg.transform}-of-ancillary", "ancillary", transform, family,
-            n=cfg.n, seed=cfg.seed + 1, c=cfg.c, workers=cfg.workers)
+    u = verify.zero_mean_from_ancillary(cfg.transform, family, cfg.n, cfg.seed + 1, c=cfg.c,
+                                        workers=cfg.workers)
     grid = cfg.grid or (0.5, 1.0, 2.0)
     return verify.rao_zero_cov(estimator, u, family, _mc_config(cfg, grid), power=cfg.power,
                                c=cfg.c)
@@ -211,13 +207,13 @@ def _variance_table(cfg):
 
 #: One row per experiment kind: its claim, its default config as ``nilelab
 #: list`` shows it, its runner, and the config keys it reads (every kind reads
-#: ``kind``, ``name``, ``seed``, ``out`` and ``workers``).
+#: ``kind``, ``name`` and ``out``; only a kind that draws replicates reads
+#: ``seed`` and ``workers``).
 Experiment = namedtuple("Experiment", "claim default run keys")
 
 
 def _experiment(claim, default, run, keys=""):
-    return Experiment(claim, default, run, ("kind", "name", "seed", "out", "workers",
-                                            *keys.split()))
+    return Experiment(claim, default, run, ("kind", "name", "out", *keys.split()))
 
 
 EXPERIMENTS = {
@@ -225,37 +221,37 @@ EXPERIMENTS = {
         "sampling distribution of the designated ancillary statistic "
         "is invariant across the parameter grid (pairwise KS test)",
         "family = nile, grid = 0.5,1,2,4, n = 5, replicates = 100000", _ancillarity,
-        "family statistic grid n c replicates"),
+        "family statistic grid n c replicates seed workers"),
     "first-order": _experiment(
         "mean of a first-order ancillary statistic is constant in the "
-        "parameter (vs its closed-form normal-CDF value)",
+        "parameter (vs its closed-form value on the family)",
         "family = bivariate_gaussian_corr, grid = -0.9,0,0.9, replicates = 100000",
-        _first_order, "family statistic grid c replicates"),
+        _first_order, "family statistic grid c replicates seed workers"),
     "independence": _experiment(
         "two statistics are independent at each grid point "
         "(chi-square on a decile contingency table)",
         "family = normal_cv, stat_a = sample_mean, stat_b = sample_sd, n = 5", _independence,
-        "family stat_a stat_b grid n c replicates"),
+        "family stat_a stat_b grid n c replicates seed workers"),
     "rao": _experiment(
         "a UMVUE must have zero covariance with every zero-mean statistic; "
         "estimates E(g^k U) for U built from the ancillary",
         "family = nile, estimator = nile_mle, transform = log, grid = 0.5,1,2, n = 5", _rao,
-        "family estimator transform grid n c power replicates"),
+        "family estimator transform grid n c power replicates seed workers"),
     "cond-moment": _experiment(
         "a UMVUE's conditional second moment given the ancillary must "
         "be constant; bins the ancillary and compares bin means",
         "family = nile, estimator = nile_star, theta = 1, n = 5", _cond_moment,
-        "family estimator statistic theta n c replicates"),
+        "family estimator statistic theta n c replicates seed workers"),
     "fisher-info": _experiment(
         "variance of the score equals (2 + 1/c^2)/theta^2, exceeding "
         "the location-only information 1/(c^2 theta^2)",
         "theta = 1, c = 1, replicates = 100000",
         lambda cfg: verify.fisher_info(cfg.theta, cfg.c, _mc_config(cfg, (cfg.theta,), n=1)),
-        "theta c replicates"),
+        "theta c replicates seed workers"),
     "variance-table": _experiment(
         "Monte Carlo bias/variance/MSE comparison across estimators",
         "family = nile, estimators = nile_mle,nile_star, grid = 1, n = 5", _variance_table,
-        "family estimators grid n c replicates"),
+        "family estimators grid n c replicates seed workers"),
     "quadrature-selftest": _experiment(
         "the adaptive-quadrature and Bessel-representation evaluations of the "
         "conditional-moment integrals agree to 1e-8",

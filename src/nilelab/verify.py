@@ -135,9 +135,10 @@ FAMILY_TOKENS = tuple(FAMILIES)
 
 #: A named statistic: ``compute(sim, theta, n, c)`` over the reduced arrays
 #: ``reads`` (``families.reduce`` names) for each token in ``families``,
-#: defined for n >= ``min_n``; ``target`` maps c to a known parameter-free
-#: mean, which the first-order check compares against; ``cond_m2(w, theta, n)``
-#: is its closed-form E(g^2 | the family's ancillary = w).
+#: defined for n >= ``min_n``; ``target`` maps a family token to a function of
+#: c, the statistic's known parameter-free mean on that family, which the
+#: first-order check compares against; ``cond_m2(w, theta, n)`` is its
+#: closed-form E(g^2 | the family's ancillary = w).
 Statistic = namedtuple("Statistic", "compute reads families min_n target cond_m2",
                        defaults=(1, None, None))
 
@@ -166,7 +167,8 @@ _SCALAR = {"normal_cv", "uniform_location", "normal_unit"}
 _XY, _MS, _LH = ("xbar", "ybar"), ("xbar", "s"), ("lo", "hi")
 
 STATISTICS = {
-    "nile_product": Statistic(lambda sim, t, n, c: sim["xbar"] * sim["ybar"], _XY, _NILE),
+    "nile_product": Statistic(lambda sim, t, n, c: sim["xbar"] * sim["ybar"], _XY, _NILE,
+                              target={"nile": lambda c: 1.0}),  # E xbar E ybar = 1
     "normal_cv_ratio": Statistic(_normal_cv_ratio, _MS, _CV, min_n=2),
     "uniform_range": Statistic(lambda sim, t, n, c: sim["hi"] - sim["lo"], _LH, _UNIFORM),
     "sample_mean": Statistic(lambda sim, t, n, c: sim["xbar"], ("xbar",), _SCALAR | _NILE),
@@ -185,10 +187,11 @@ STATISTICS = {
     "first_order_h": Statistic(
         lambda sim, t, n, c: ((np.abs(sim["x"]) <= 1.0).astype(float)
                               + (np.abs(sim["y"]) <= 1.0).astype(float)),
-        ("x", "y"), _CORR, target=lambda c: 2.0 * (2.0 * float(ndtr(1.0)) - 1.0)),
+        ("x", "y"), _CORR,
+        target={"bivariate_gaussian_corr": lambda c: 2.0 * (2.0 * float(ndtr(1.0)) - 1.0)}),
     "positive_indicator": Statistic(lambda sim, t, n, c: (sim["xbar"] > 0).astype(float),
                                     ("xbar",), _SCALAR | _NILE,
-                                    target=lambda c: float(ndtr(1.0 / c))),
+                                    target={"normal_cv": lambda c: float(ndtr(1.0 / c))}),
     "xy_product": Statistic(lambda sim, t, n, c: sim["x"] * sim["y"], ("x", "y"), _CORR),
     "diff12": Statistic(lambda sim, t, n, c: sim["diff12"], ("diff12",), _SCALAR, min_n=2),
     "score": Statistic(_score, ("x1",), _CV),
@@ -521,9 +524,10 @@ def verify_first_order(token: str, statistic: str, config: MCConfig,
                        c: float = 1.0) -> VerificationReport:
     """Pass iff the statistic's mean is constant (within 3 SE) across the grid.
 
-    When the statistic has a known parameter-free mean the comparison is
-    against that constant; otherwise against the pooled grand mean.  A grid
-    point where the statistic is constant (SE 0) raises VerificationError.
+    When the statistic has a known parameter-free mean on the family (its
+    row's ``target``), the comparison is against that constant; otherwise
+    against the pooled grand mean.  A grid point where the statistic is
+    constant (SE 0) raises VerificationError.
     Streams: keeps the moments of each grid point, not its replicates.
     """
     drawn, degenerate = run_grid(token, config.theta_grid, config.n, c,
@@ -531,7 +535,7 @@ def verify_first_order(token: str, statistic: str, config: MCConfig,
     means, ses = zip(*(_mean_se(p[statistic]) for p in drawn))
     for t, se in zip(config.theta_grid, ses):
         _z(0.0, se, statistic, t)
-    target_fn = resolve_statistic(statistic, token, config.n).target
+    target_fn = (resolve_statistic(statistic, token, config.n).target or {}).get(token)
     if target_fn is not None:
         target = target_fn(c)
         target_se = 0.0
@@ -666,56 +670,53 @@ def identity(x):
     return x
 
 
-def zero_mean_from_ancillary(spec_id: str, source: str, transform, token: str,
-                             n: int, seed: int, c: float = 1.0,
-                             calibration_n: int = 10 ** 6, workers: int = 1) -> ZeroMeanSpec:
-    """Build a ZeroMeanSpec by centering transform(ancillary) via one large MC run.
-
-    The centering constant is estimated once at theta = 1 and frozen; its
-    standard error is carried so downstream covariance tests can widen
-    their error bands accordingly.  Streams: keeps the moments, not the
-    replicates.  The run uses ``workers`` threads; the constant does not
-    depend on them.
-    """
-    cfg = MCConfig(master_seed=seed, replicates=calibration_n, theta_grid=(1.0,),
-                   n=n, workers=workers)
-    drawn, _ = run_grid(token, (1.0,), n, c, cfg, [source],
-                        moments_of=lambda sim: {"U": transform(sim[source])})
-    center, center_se = _mean_se(drawn[0]["U"])
-    return ZeroMeanSpec(id=spec_id, source=source, transform=transform,
-                        center=center, center_se=center_se)
-
-
-def median_indicator(token: str, n: int, c: float, seed: int, workers: int = 1):
-    """1{w <= median} with the ancillary's median frozen from a calibration run at
-    theta=1 on ``workers`` threads."""
-    cfg = MCConfig(master_seed=seed, replicates=100_000, theta_grid=(1.0,), n=n,
-                   workers=workers)
-    drawn, _ = run_grid(token, (1.0,), n, c, cfg, ["ancillary"])
-    median = float(np.median(drawn[0]["ancillary"]))
-    return lambda w: (np.asarray(w) <= median).astype(float)
-
-
-@dataclass(frozen=True)
-class PositiveLog:
+def _positive_log(token: str, *_):
     """np.log of the ancillary of family ``token``; DomainError, before any log
     is taken, when some replicate of the ancillary is not positive."""
-
-    token: str
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def log(x):
         if not (x > 0).all():
             raise DomainError(f"transform 'log' needs a positive ancillary, but "
-                              f"{FAMILIES[self.token].ancillary} takes values <= 0 "
-                              f"on family {self.token!r}")
+                              f"{FAMILIES[token].ancillary} takes values <= 0 "
+                              f"on family {token!r}")
         return np.log(x)
+    return log
+
+
+def _median_indicator(token: str, n: int, c: float, seed: int, workers: int):
+    """1{w <= median}, the ancillary's median frozen from 1e5 replicates at theta=1."""
+    drawn, _ = run_grid(token, (1.0,), n, c, MCConfig(seed, 100_000, (1.0,), n, workers),
+                        ["ancillary"])
+    median = float(np.median(drawn[0]["ancillary"]))
+    return lambda w: (np.asarray(w) <= median).astype(float)
 
 
 #: Transforms of the ancillary for zero-mean statistics, by name: each maps
 #: (token, n, c, seed, workers) to the elementwise transform; the log reads the
 #: token, the median indicator all five, for its calibration run.
-TRANSFORMS = {"log": lambda token, *_: PositiveLog(token), "identity": lambda *_: identity,
-              "indicator": median_indicator}
+TRANSFORMS = {"log": _positive_log, "identity": lambda *_: identity,
+              "indicator": _median_indicator}
+
+
+def zero_mean_from_ancillary(transform: str, token: str, n: int, seed: int, c: float = 1.0,
+                             workers: int = 1, calibration_n: int = 10 ** 6) -> ZeroMeanSpec:
+    """The zero-mean statistic U of family ``token``: the one builder of rao's U.
+
+    A family row with a ``contrast`` gives that contrast, whose mean is 0
+    exactly: centre 0, SE 0, and nothing is drawn.  Otherwise U is the
+    ``TRANSFORMS[transform]`` of the ancillary less its mean, estimated once
+    at theta = 1 from ``seed`` (the indicator's median from ``seed + 1``) on
+    ``workers`` threads, which it does not depend on; its SE is carried, so
+    the covariance test can widen its error band.  Streams: keeps the
+    moments, not the replicates.
+    """
+    contrast = FAMILIES[token].contrast
+    if contrast:
+        return ZeroMeanSpec("first-contrast", contrast, identity, center=0.0, center_se=0.0)
+    fn = TRANSFORMS[transform](token, n, c, seed + 1, workers)
+    drawn, _ = run_grid(token, (1.0,), n, c, MCConfig(seed, calibration_n, (1.0,), n, workers),
+                        ["ancillary"], moments_of=lambda sim: {"U": fn(sim["ancillary"])})
+    center, center_se = _mean_se(drawn[0]["U"])
+    return ZeroMeanSpec(f"{transform}-of-ancillary", "ancillary", fn, center, center_se)
 
 
 def rao_zero_cov(g_stat: str, u: ZeroMeanSpec, token: str, config: MCConfig,
@@ -723,8 +724,10 @@ def rao_zero_cov(g_stat: str, u: ZeroMeanSpec, token: str, config: MCConfig,
     """Estimate E_theta(g^k * U) across the grid and test consistency with 0.
 
     Verdicts: ``consistent`` (pass) when every |z| < 3, ``violates`` (fail)
-    when some |z| > 4, otherwise inconclusive.  The zero-mean self-check
-    (|mean U| < 4 SE at every grid point) runs first and aborts on failure.
+    when some |z| > 4, otherwise inconclusive.  An estimated centre
+    (``center_se > 0``) is self-checked first, |mean U| < 4 SE at every grid
+    point or VerificationError; on an exact centre the check could only
+    turn sampling noise into an error.
     Streams: keeps the moments of U, g^k U and g^k, not the replicates.
     """
     if not 1 <= power <= 6:
@@ -742,7 +745,7 @@ def rao_zero_cov(g_stat: str, u: ZeroMeanSpec, token: str, config: MCConfig,
     for t, moments in zip(config.theta_grid, drawn):
         m_u, se_u = _mean_se(moments["U"])
         se_u_total = math.sqrt(se_u ** 2 + u.center_se ** 2)
-        if abs(m_u) > 4.0 * se_u_total:
+        if u.center_se > 0 and abs(m_u) > 4.0 * se_u_total:
             raise VerificationError(
                 f"zero-mean self-check failed for {u.id} at theta={t}: "
                 f"mean {m_u:.4g} vs SE {se_u_total:.4g}")

@@ -229,6 +229,9 @@ BAD_CONFIGS = [
      "transform 'log' needs a positive ancillary, but normal_cv_ratio takes values <= 0 "
      "on family 'normal_cv'"),
     ("kind = constraints\n", "line 2: field 'replicates'"),
+    # an RNG-free kind reads no seed and no worker count
+    ("kind = constraints\nseed = 7\nworkers = 9\n", "line 2: field 'seed'"),
+    ("kind = quadrature-selftest\nworkers = 9\n", "line 2: field 'workers'"),
 ]
 
 
@@ -456,47 +459,40 @@ def _mc(grid, n=5):
     return verify.MCConfig(0, 100_000, grid, n, 1)
 
 
-def _anc_calibration(family):
-    return ("zero_mean_from_ancillary",
-            ("log-of-ancillary", "ancillary", verify.PositiveLog(family), family),
-            {"n": 5, "seed": 1, "c": 1.0, "workers": 1})
+def _zero_mean(family):
+    return ("zero_mean_from_ancillary", ("log", family, 5, 1), {"c": 1.0, "workers": 1})
 
-
-_CONTRAST = verify.ZeroMeanSpec(id="first-contrast", source="diff12",
-                                transform=verify.identity, center=0.0, center_se=0.0)
 
 #: (kind, family, extra config) -> the verify calls today's per-family defaults
 #: make, or the field named by the ConfigError.  An estimator is set where the
 #: kind's default estimator is not defined for the family.
 _FAMILY_DEFAULTS = {
     ("first-order", "nile", ""): [
-        ("verify_first_order", ("nile", "positive_indicator", _mc((0.5, 1, 2), 1)), {"c": 1.0})],
+        ("verify_first_order", ("nile", "nile_product", _mc((0.5, 1, 2), 1)), {"c": 1.0})],
     ("first-order", "bivariate_gaussian_corr", ""): [
         ("verify_first_order", ("bivariate_gaussian_corr", "first_order_h",
                                 _mc((-0.9, 0, 0.9), 1)), {"c": 1.0})],
     ("first-order", "normal_cv", ""): [
         ("verify_first_order", ("normal_cv", "positive_indicator", _mc((0.5, 1, 2), 1)),
          {"c": 1.0})],
-    ("first-order", "uniform_location", ""): [
-        ("verify_first_order", ("uniform_location", "positive_indicator",
-                                _mc((0.5, 1, 2), 1)), {"c": 1.0})],
-    ("first-order", "normal_unit", ""): [
-        ("verify_first_order", ("normal_unit", "positive_indicator", _mc((0.5, 1, 2), 1)),
-         {"c": 1.0})],
+    # no statistic has a known mean on these families
+    ("first-order", "uniform_location", ""): "field 'statistic'",
+    ("first-order", "normal_unit", ""): "field 'statistic'",
     ("rao", "nile", ""): [
-        _anc_calibration("nile"),
+        _zero_mean("nile"),
         ("rao_zero_cov", ("nile_mle", None, "nile", _mc((0.5, 1, 2))), {"power": 1, "c": 1.0})],
     ("rao", "bivariate_gaussian_corr", "estimator = xy_product"): "field 'family'",
     ("rao", "normal_cv", "estimator = normalcv_mle"): [
-        _anc_calibration("normal_cv"),
+        _zero_mean("normal_cv"),
         ("rao_zero_cov", ("normalcv_mle", None, "normal_cv", _mc((0.5, 1, 2))),
          {"power": 1, "c": 1.0})],
     ("rao", "uniform_location", "estimator = pitman_midrange"): [
-        _anc_calibration("uniform_location"),
+        _zero_mean("uniform_location"),
         ("rao_zero_cov", ("pitman_midrange", None, "uniform_location", _mc((0.5, 1, 2))),
          {"power": 1, "c": 1.0})],
     ("rao", "normal_unit", "estimator = sample_mean"): [
-        ("rao_zero_cov", ("sample_mean", _CONTRAST, "normal_unit", _mc((0.5, 1, 2))),
+        _zero_mean("normal_unit"),
+        ("rao_zero_cov", ("sample_mean", None, "normal_unit", _mc((0.5, 1, 2))),
          {"power": 1, "c": 1.0})],
     ("cond-moment", "nile", ""): [
         ("cond_moment_dependence", ("nile_star", "nile", 1.0, _mc((1.0,))),
@@ -529,6 +525,36 @@ def test_per_family_defaults(monkeypatch, kind, family, extra):
     else:
         run_experiment(cfg)
         assert calls == expected
+
+
+_FAMILY_KINDS = [kind for kind, row in EXPERIMENTS.items() if "family" in row.keys]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("family", verify.FAMILY_TOKENS)
+@pytest.mark.parametrize("kind", _FAMILY_KINDS)
+def test_default_on_every_family_reports_or_rejects_config(kind, family):
+    # a default statistic whose known mean does not hold on the family gave an
+    # SE of 0 (first-order on nile and uniform_location), or a wrong verdict
+    cfg = parse_config(f"kind = {kind}\nfamily = {family}\nreplicates = 2000\n")
+    try:
+        report = run_experiment(cfg)
+    except ConfigError:
+        return
+    assert report.verdict in ("pass", "fail", "inconclusive")
+
+
+def test_exact_contrast_is_not_self_checked(tmp_path, capsys):
+    # at this seed the mean of the exact contrast diff12 lies 4.1 SE from 0 at
+    # theta = 2; that is the covariance's own noise, reported as a verdict
+    cfg = _write(tmp_path, "kind = rao\nfamily = normal_unit\nestimator = sample_mean\nn = 5\n"
+                           "grid = 0.5,1,2\nreplicates = 100000\nworkers = 2\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--seed", "2000129", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "exp.report.json").read_text())
+    assert report["verdicts"] == {"zero-covariance": "inconclusive"}
+    assert report["statistics"][0]["max_abs_z"] == pytest.approx(3.81, abs=0.005)
 
 
 #: Runs every experiment kind at small N in a fresh interpreter; exits 1 if

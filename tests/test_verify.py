@@ -8,7 +8,8 @@ from scipy.special import ndtr
 from nilelab.families import (FAMILIES, DomainError, bivariate_gaussian, nile, normal_cv,
                               sample, uniform_location)
 from nilelab import verify
-from nilelab.verify import (KS_CRITICAL, N_CHUNKS, STATISTICS, MCConfig, VerificationError,
+from nilelab.verify import (KS_CRITICAL, N_CHUNKS, STATISTICS, TRANSFORMS, MCConfig,
+                            VerificationError,
                             VerificationReport, GridPointResult, ZeroMeanSpec, _bin_index,
                             _mean_se, _moments, _quantile_edges, _var_se, chi2_contingency,
                             cond_moment_dependence,
@@ -426,15 +427,24 @@ class TestIndependence:
 class TestRaoZeroCov:
     def test_positive_control_complete_family(self):
         # N(theta, 1): complete sufficient statistic, condition must hold
-        u = ZeroMeanSpec(id="first-contrast", source="diff12",
-                         transform=identity, center=0.0, center_se=0.0)
+        u = zero_mean_from_ancillary("log", "normal_unit", n=2, seed=1)
         rep = rao_zero_cov("sample_mean", u, "normal_unit",
                            _cfg(grid=(0.5, 1.0, 2.0), replicates=50_000, n=2))
         assert rep.verdicts["zero-covariance"] == "pass"
 
+    def test_exact_contrast_draws_nothing(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("run_grid called")
+
+        monkeypatch.setattr(verify, "run_grid", no_draws)
+        for transform in TRANSFORMS:
+            u = zero_mean_from_ancillary(transform, "normal_unit", n=5, seed=1)
+            assert (u.id, u.source, u.center, u.center_se) == ("first-contrast", "diff12",
+                                                                0.0, 0.0)
+            assert u.transform is identity
+
     def test_nile_mle_violates(self):
-        u = zero_mean_from_ancillary("log-of-ancillary", "ancillary", np.log, "nile",
-                                     n=1, seed=11, calibration_n=200_000)
+        u = zero_mean_from_ancillary("log", "nile", n=1, seed=11, calibration_n=200_000)
         rep = rao_zero_cov("nile_mle", u, "nile",
                            _cfg(grid=(0.5, 1.0, 2.0), replicates=100_000, n=1))
         assert rep.verdicts["zero-covariance"] == "fail"
@@ -446,6 +456,13 @@ class TestRaoZeroCov:
         with pytest.raises(VerificationError):
             rao_zero_cov("nile_mle", u, "nile", _cfg(grid=(1.0,), n=1))
 
+    def test_exact_center_is_not_self_checked(self):
+        # a centre with SE 0 is taken as exact: a bad one shows in the verdict
+        u = ZeroMeanSpec(id="mis-centered", source="ancillary", transform=identity,
+                         center=0.0, center_se=0.0)  # E W = 1, not 0
+        rep = rao_zero_cov("nile_mle", u, "nile", _cfg(grid=(1.0,), n=1))
+        assert rep.points[0].statistics["mean_U"] == pytest.approx(1.0, abs=0.05)
+
     def test_power_validated(self):
         u = ZeroMeanSpec(id="x", source="ancillary", transform=identity,
                          center=1.0, center_se=0.0)
@@ -454,8 +471,7 @@ class TestRaoZeroCov:
 
     def test_calibration_center_near_known_value(self):
         # E log(xbar ybar) at n = 1 is -2 * Euler-Mascheroni
-        u = zero_mean_from_ancillary("log-of-ancillary", "ancillary", np.log, "nile",
-                                     n=1, seed=3, calibration_n=400_000)
+        u = zero_mean_from_ancillary("log", "nile", n=1, seed=3, calibration_n=400_000)
         gamma = 0.5772156649015329
         assert abs(u.center + 2.0 * gamma) < 4.0 * u.center_se
 
