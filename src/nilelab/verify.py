@@ -9,7 +9,9 @@ and estimator risk comparisons.
 Reproducibility contract: all randomness flows from ``MCConfig.master_seed``.
 Replicates are partitioned into a fixed number of chunks (independent of
 the worker count); chunk ``i`` of grid point ``g`` always consumes the
-same spawned substream.  The grid points are drawn one at a time, and each
+same spawned substream.  The first chunk of every grid point is drawn
+before the other chunks, so that a verifier can look at them once and stop
+a decided verdict (ancillarity, by a distribution-free bound); each
 point's chunks are put together in chunk order, not in the order the
 workers finish them: the kept arrays, each chunk's values in its own
 slice with the gaps of dropped replicates closed, or, for the moment-only
@@ -47,6 +49,10 @@ KS_CRITICAL = 1.95
 
 #: Level of each grid point's chi-square independence test.
 INDEPENDENCE_ALPHA = 1e-3
+
+#: Chance that ``verify_ancillarity``'s first-chunk look fails an invariant
+#: statistic, for any law (``dkw_bound``).
+DKW_DELTA = 1e-6
 
 
 class VerificationError(RuntimeError):
@@ -294,7 +300,7 @@ def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names, *,
-             moments_of=None, counts_of=None) -> tuple[list[dict], int]:
+             moments_of=None, counts_of=None, look=None) -> tuple[list[dict], int]:
     """Simulate each grid point and evaluate ``names``; deterministic in workers.
 
     Returns (per-grid-point dict of name -> array, degenerate count).  When
@@ -305,9 +311,9 @@ def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names, *,
     counted; a point that keeps none raises VerificationError.  Statistics
     (ValueError) and grid points (DomainError) are checked before sampling.
 
-    Each grid point is one pass of the pool over its chunks, done before
-    the next point's first chunk starts.  A chunk drops its degenerate
-    replicates and writes the rest from its slice start; the point then
+    The pool makes two passes: the first chunk of every grid point, then
+    the other chunks of every point.  A chunk drops its degenerate
+    replicates and writes the rest from its slice start; each point then
     closes the gaps in place, in chunk order.
 
     With a hook no replicate is kept.  ``moments_of`` maps each chunk's
@@ -315,6 +321,11 @@ def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names, *,
     array}``, kept as the float64 ``[count, mean, M2, M3, M4]`` (``_moments``)
     of the chunks merged in chunk order; ``counts_of(gi, arrays)`` maps them
     at grid point ``gi`` to ``{quantity: integer array}``, kept summed.
+
+    ``look`` is called between the passes with the first chunks' results,
+    in the shape this returns, unless some point's first chunk kept no
+    replicate (that point is judged on all its chunks); when it returns
+    True, they are returned, with their degenerate count.
     """
     grid = list(grid)
     stats = {name: resolve_statistic(name, token, n) for name in names}
@@ -329,7 +340,10 @@ def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names, *,
     children = np.random.SeedSequence(config.master_seed).spawn(len(grid) * len(sizes))
     merge = _merge if moments_of is not None else np.add if counts_of is not None else None
 
-    def one_chunk(gi, arrays, ci):
+    arrays = [None if merge else {name: np.empty(config.replicates) for name in stats}
+              for _ in grid]  # untouched pages cost no memory
+
+    def one_chunk(gi, ci):
         """Chunk ``ci`` of grid point ``gi``: its count of dropped (degenerate)
         replicates, and what it keeps: the moments of ``moments_of``'s
         quantities, ``counts_of``'s counts, or the count it wrote to ``arrays``."""
@@ -357,36 +371,43 @@ def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names, *,
                                   for q, v in moments_of(vals).items()})
             kept = sizes[ci] - dropped
             for name, v in vals.items():
-                arrays[name][starts[ci]:starts[ci] + kept] = v
+                arrays[gi][name][starts[ci]:starts[ci] + kept] = v
             return dropped, kept
 
-    out, degenerate = [], 0
+    def point(gi):
+        """Grid point ``gi`` from the chunks drawn so far, put together in chunk
+        order, not in the order they finished."""
+        if merge is not None:
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or nan
+                return functools.reduce(lambda a, b: {q: merge(a[q], b[q]) for q in a},
+                                        (kept for _, kept in chunks[gi]))
+        end = 0
+        for start, (_, kept) in zip(starts, chunks[gi]):  # close the dropped replicates' gaps
+            if start != end:
+                for arr in arrays[gi].values():
+                    arr[end:end + kept] = arr[start:start + kept]
+            end += kept
+        return {name: arr[:end] for name, arr in arrays[gi].items()}
+
+    chunks = [[] for _ in grid]  # each point's (dropped, kept), in chunk order
     pool = ThreadPoolExecutor(max_workers=config.workers)
     try:  # a failed chunk cancels the chunks not yet started
-        for gi in range(len(grid)):
-            arrays = None if merge else {name: np.empty(config.replicates) for name in stats}
-            chunks = list(pool.map(functools.partial(one_chunk, gi, arrays), range(len(sizes))))
-            lost = sum(dropped for dropped, _ in chunks)
-            if lost == config.replicates:  # e.g. c * theta below the float spacing
-                raise VerificationError(f"every replicate at theta={grid[gi]:g} is degenerate; "
-                                        f"there is no sample to test")
-            degenerate += lost
-            if merge is not None:
-                with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or nan
-                    # merged in chunk order, not in the order chunks finished
-                    out.append(functools.reduce(lambda a, b: {q: merge(a[q], b[q]) for q in a},
-                                                (kept for _, kept in chunks)))
-                continue
-            end = 0
-            for start, (_, kept) in zip(starts, chunks):  # close the dropped replicates' gaps
-                if start != end:
-                    for arr in arrays.values():
-                        arr[end:end + kept] = arr[start:start + kept]
-                end += kept
-            out.append({name: arr[:end] for name, arr in arrays.items()})
+        for phase in (range(1), range(1, len(sizes))):  # every point's first chunk, then the rest
+            tasks = [(gi, ci) for gi in range(len(grid)) for ci in phase]
+            for (gi, _), result in zip(tasks, pool.map(lambda task: one_chunk(*task), tasks)):
+                chunks[gi].append(result)
+            if phase.start == 0 and look is not None and all(
+                    point_chunks[0][0] < sizes[0] for point_chunks in chunks):
+                first = [point(gi) for gi in range(len(grid))]
+                if look(first):
+                    return first, sum(point_chunks[0][0] for point_chunks in chunks)
     finally:
         pool.shutdown(cancel_futures=True)
-    return out, degenerate
+    lost = [sum(dropped for dropped, _ in point_chunks) for point_chunks in chunks]
+    if config.replicates in lost:  # e.g. c * theta below the float spacing
+        raise VerificationError(f"every replicate at theta={grid[lost.index(config.replicates)]:g} "
+                                f"is degenerate; there is no sample to test")
+    return [point(gi) for gi in range(len(grid))], sum(lost)
 
 
 def _mean_se(moments: np.ndarray) -> tuple[float, float]:
@@ -483,30 +504,45 @@ def verify_ancillarity(token: str, statistic: str, config: MCConfig,
     ``ks_threshold`` is the threshold of the pair whose D comes closest to
     its own (largest D / threshold), the one threshold of every pair when
     the sizes are equal.
+
+    First ``run_grid``'s look fails the claim on the first chunks alone, m_k
+    replicates at point k, when some pair's D exceeds ``dkw_bound(m_i) +
+    dkw_bound(m_j)``: by Massart's DKW inequality, with probability at most
+    DKW_DELTA for an invariant statistic of any law.  Such a report holds
+    the first chunks' means, SEs and D's, each point's ``replicates``,
+    ``dkw_delta``, and the deciding pair's bound as ``ks_threshold``.
     """
-    if len(config.theta_grid) < 2:
+    grid = config.theta_grid
+    if len(grid) < 2:
         raise ValueError("ancillarity check needs at least 2 grid points")
-    drawn, degenerate = run_grid(token, config.theta_grid, config.n, c,
-                                 config, [statistic])
+    decided = []  # the look's (pair_stats, tested), once it fails the claim
+
+    def look(first):
+        samples = [np.sort(p[statistic]) for p in first]  # copies: the moments sum these
+        eps = [dkw_bound(s.size, len(grid)) for s in samples]
+        pairs = _ks_pairs(samples, grid, lambda i, j: eps[i] + eps[j])
+        if any(d > t for d, t in pairs[1]):
+            decided.append(pairs)
+        return bool(decided)
+
+    drawn, degenerate = run_grid(token, grid, config.n, c, config, [statistic], look=look)
     samples = [p[statistic] for p in drawn]
     points = []
-    for t, s in zip(config.theta_grid, samples):
+    for t, s in zip(grid, samples):
         m, se = _mean_se(_moments(s, order=2))
         if not (math.isfinite(m) and math.isfinite(se)):  # squares overflowed, or N = 1
             raise VerificationError(f"{statistic} at theta={t:g} has mean {m:g} (SE {se:g}); "
                                     f"a report needs both finite")
-        points.append(GridPointResult(param=t, estimates={statistic: m},
-                                      se={statistic: se}))
-        s.sort()
-    pair_stats = {}
-    tested = []  # (D, threshold) per pair
-    for i in range(len(samples)):
-        for j in range(i + 1, len(samples)):
-            d = ks_2samp(samples[i], samples[j])
-            pair_stats[f"ks[{config.theta_grid[i]:g},{config.theta_grid[j]:g}]"] = d
-            # sqrt(2 / n) bit for bit when the sizes are equal
-            tested.append((d, KS_CRITICAL * math.sqrt(1.0 / samples[i].size
-                                                      + 1.0 / samples[j].size)))
+        points.append(GridPointResult(param=t, estimates={statistic: m}, se={statistic: se},
+                                      statistics={"replicates": s.size} if decided else {}))
+    if decided:
+        pair_stats, tested = decided[0]
+    else:
+        for s in samples:
+            s.sort()
+        # sqrt(2 / n) bit for bit when the sizes are equal
+        pair_stats, tested = _ks_pairs(samples, grid, lambda i, j: KS_CRITICAL * math.sqrt(
+            1.0 / samples[i].size + 1.0 / samples[j].size))
     max_ks = max(d for d, _ in tested)
     threshold = max(tested, key=lambda dt: dt[0] / dt[1])[1]
     invariant = all(d < t for d, t in tested)
@@ -515,9 +551,26 @@ def verify_ancillarity(token: str, statistic: str, config: MCConfig,
         verdicts["no-degenerate-samples"] = "fail"
     return VerificationReport(
         claim=f"ancillarity of {statistic} for {token}",
-        config=config.as_dict(), grid=list(config.theta_grid), points=points,
-        statistics={"max_ks": max_ks, "ks_threshold": threshold, **pair_stats},
+        config=config.as_dict(), grid=list(grid), points=points,
+        statistics={"max_ks": max_ks, "ks_threshold": threshold, **pair_stats,
+                    **({"dkw_delta": DKW_DELTA} if decided else {})},
         verdicts=verdicts, seed=config.master_seed, degenerate_count=degenerate)
+
+
+def dkw_bound(m: int, points: int) -> float:
+    """sqrt(ln(2 points / DKW_DELTA) / (2 m)), which the empirical CDF of m draws
+    exceeds, from its law's, with probability at most DKW_DELTA / points
+    (Massart 1990, any law); infinite when m is 0."""
+    return math.sqrt(math.log(2 * points / DKW_DELTA) / (2 * m)) if m else math.inf
+
+
+def _ks_pairs(samples, grid, bound) -> tuple[dict, list]:
+    """``{"ks[ti,tj]": D}`` of every pair of the sorted ``samples``, and each
+    pair's (D, ``bound(i, j)``)."""
+    ds = {(i, j): ks_2samp(samples[i], samples[j])
+          for i in range(len(samples)) for j in range(i + 1, len(samples))}
+    return ({f"ks[{grid[i]:g},{grid[j]:g}]": d for (i, j), d in ds.items()},
+            [(d, bound(i, j)) for (i, j), d in ds.items()])
 
 
 def verify_first_order(token: str, statistic: str, config: MCConfig,

@@ -275,6 +275,8 @@ WORKER_COUNT_CONFIGS = {
                             "replicates = 4000\n",
     "ancillarity-drops": "kind = ancillarity\nfamily = normal_cv\nstatistic = sample_mean\n"
                          "c = 1e-15\nn = 2\nreplicates = 4000\n",
+    # decided by the first-chunk look: only the first chunk of each point is drawn
+    "ancillarity-decided": "kind = ancillarity\nstatistic = sample_mean\nreplicates = 4000\n",
 }
 
 
@@ -303,6 +305,8 @@ def test_streamed_reports_do_not_depend_on_the_worker_count(kind, tmp_path, caps
         assert text.count(echo) == 1
         reports[workers] = text.replace(echo, '"workers": _')
         assert kind.endswith("-drops") == ('"degenerate_count": 0,' not in text)
+        if kind.endswith("-decided"):
+            assert '"dkw_delta"' in text
         if kind.startswith("independence"):  # its one grid point's table counts every kept replicate
             (table,) = tables[-1]
             assert table.sum() == 4000 - json.loads(text)["degenerate_count"]

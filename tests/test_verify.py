@@ -110,6 +110,101 @@ class TestAncillarity:
                                _cfg(replicates=100, grid=(1.0, 2.0), n=3), c=1e-20)
 
 
+class _Looked(Exception):
+    """Carries the look's answer out of ``run_grid`` before any other chunk is drawn."""
+
+
+def _look_fires(monkeypatch, token, statistic, cfg) -> bool:
+    """Whether ``verify_ancillarity``'s look on ``cfg``'s first chunks fails the claim."""
+    def stop_after_look(*args, look, **kwargs):
+        def answer(first):
+            raise _Looked(look(first))
+        return run_grid(*args, look=answer, **kwargs)
+
+    monkeypatch.setattr(verify, "run_grid", stop_after_look)
+    with pytest.raises(_Looked) as looked:
+        verify_ancillarity(token, statistic, cfg)
+    return looked.value.args[0]
+
+
+#: Invariant statistics, one with heavy ties: P(xbar > 0) = Phi(sqrt(n)/c) whatever theta.
+INVARIANT = [("nile", "nile_product", (0.5, 1.0, 2.0, 4.0), 5),
+             ("normal_cv", "normal_cv_ratio", (0.5, 2.0), 10),
+             ("uniform_location", "uniform_range", (-2.0, 0.0, 3.0), 4),
+             ("normal_cv", "positive_indicator", (0.5, 1.0, 2.0, 4.0), 3)]
+
+
+class TestFirstChunkLook:
+    @pytest.mark.parametrize("token,statistic,grid,n", INVARIANT)
+    def test_never_fires_on_an_invariant_statistic(self, monkeypatch, token, statistic, grid, n):
+        # 200 replicates a first chunk: the pair bound is about 0.4, where a bound of
+        # sqrt(1 / (2 m)) a point, 0.1 a pair, is exceeded by about a quarter of the pairs
+        fired = [seed for seed in range(100)
+                 if _look_fires(monkeypatch, token, statistic,
+                                _cfg(seed=seed, replicates=200 * N_CHUNKS, grid=grid, n=n))]
+        assert fired == []
+
+    @pytest.mark.parametrize("statistic", ["sample_mean", "nile_mle"])
+    def test_negative_controls_stop_at_the_first_chunk(self, statistic):
+        grid = (0.5, 1.0, 2.0, 4.0)
+        cfg = _cfg(seed=4, replicates=20_000, grid=grid)
+        rep = verify_ancillarity("nile", statistic, cfg)
+        first = [p[statistic] for p in run_grid("nile", grid, 5, 1.0, cfg, [statistic],
+                                                look=lambda first: True)[0]]
+        assert [s.size for s in first] == [-(-20_000 // N_CHUNKS)] * 4
+        assert rep.verdicts == {"distribution-invariant": "fail"}
+        assert rep.statistics["dkw_delta"] == verify.DKW_DELTA
+        assert rep.statistics["ks_threshold"] == 2 * verify.dkw_bound(first[0].size, 4)
+        assert rep.statistics["max_ks"] > rep.statistics["ks_threshold"]
+        pairs = {f"ks[{grid[i]:g},{grid[j]:g}]": _scipy_ks(first[i], first[j])
+                 for i in range(4) for j in range(i + 1, 4)}
+        assert {k: v for k, v in rep.statistics.items() if k.startswith("ks[")} == pairs
+        for point, s in zip(rep.points, first):
+            assert point.statistics == {"replicates": s.size}
+            assert (point.estimates[statistic], point.se[statistic]) == _mean_se(_moments(s))
+
+    def test_bound_matches_its_closed_form(self):
+        delta = verify.DKW_DELTA
+        for m, points in [(15_625, 4), (1, 2), (313, 3)]:
+            eps = verify.dkw_bound(m, points)
+            assert eps == math.sqrt(math.log(2 * points / delta) / (2 * m))
+            # Massart: P(sup |F_m - F| > eps) <= 2 exp(-2 m eps^2), delta / points here
+            assert 2 * math.exp(-2 * m * eps * eps) == pytest.approx(delta / points, rel=1e-12)
+        assert verify.dkw_bound(0, 4) == math.inf
+        assert 2 * verify.dkw_bound(15_625, 4) == pytest.approx(0.0451, abs=1e-4)
+
+    def test_point_whose_first_chunk_keeps_nothing_is_not_looked_at(self):
+        # c = 1e-15 leaves some replicates degenerate; 2 replicates a chunk
+        looked = skipped = 0
+        for seed in range(40):
+            firsts = []
+
+            def decide(first):
+                firsts.append([p["sample_mean"] for p in first])
+                return True
+
+            out, degenerate = run_grid("normal_cv", (1.0, 2.0), 2, 1e-15,
+                                       _cfg(seed=seed, replicates=2 * N_CHUNKS,
+                                            grid=(1.0, 2.0), n=2),
+                                       ["sample_mean"], look=decide)
+            sizes = [p["sample_mean"].size for p in out]
+            if firsts:  # a look decides only on first chunks that each keep a replicate
+                looked += 1
+                assert all(s.size for s in firsts[0]) and sum(sizes) + degenerate == 4
+            else:  # every chunk drawn
+                skipped += 1
+                assert sum(sizes) + degenerate == 2 * 2 * N_CHUNKS
+        assert looked and skipped
+
+    def test_all_degenerate_point_is_judged_on_every_chunk(self):
+        looks = []
+        with pytest.raises(VerificationError, match="every replicate at theta=1 is degenerate"):
+            run_grid("normal_cv", (1.0, 2.0), 3, 1e-20,
+                     _cfg(replicates=1000, grid=(1.0, 2.0), n=3), ["sample_mean"],
+                     look=looks.append)
+        assert looks == []
+
+
 def _scipy_ks(a, b):
     return float(scipy.stats.ks_2samp(a, b, method="asymp").statistic)
 
