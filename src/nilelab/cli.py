@@ -133,6 +133,8 @@ def format_config(cfg: ExperimentConfig) -> str:
 
 
 def _mc_config(cfg: ExperimentConfig, grid, n=None) -> verify.MCConfig:
+    if cfg.seed < 0:  # the run's one MCConfig: numpy's error would name no field
+        raise ConfigError(f"field 'seed': must be >= 0, got {cfg.seed}")
     return verify.MCConfig(cfg.seed, cfg.replicates, tuple(grid), n or cfg.n, cfg.workers)
 
 
@@ -177,16 +179,14 @@ def _independence(cfg):
 
 def _rao(cfg):
     family = cfg.family or "nile"
-    contrast = FAMILIES[family].contrast  # exact zero mean: no calibration or transform
+    contrast = FAMILIES[family].contrast  # exact zero mean: no centring run or transform
     _statistic("n" if contrast else "family", contrast or "ancillary", family, cfg.n)
     if cfg.transform not in verify.TRANSFORMS:
         raise ConfigError(f"field 'transform': unknown transform {cfg.transform!r}")
     estimator = _statistic("estimator", cfg.estimator or "nile_mle", family, cfg.n)
-    u = verify.zero_mean_from_ancillary(cfg.transform, family, cfg.n, cfg.seed + 1, c=cfg.c,
-                                        workers=cfg.workers)
-    grid = cfg.grid or (0.5, 1.0, 2.0)
-    return verify.rao_zero_cov(estimator, u, family, _mc_config(cfg, grid), power=cfg.power,
-                               c=cfg.c)
+    config = _mc_config(cfg, cfg.grid or (0.5, 1.0, 2.0))
+    u = verify.zero_mean_from_ancillary(cfg.transform, family, config, c=cfg.c)
+    return verify.rao_zero_cov(estimator, u, family, config, power=cfg.power, c=cfg.c)
 
 
 def _cond_moment(cfg):
@@ -194,8 +194,8 @@ def _cond_moment(cfg):
     estimator = _statistic("estimator", cfg.estimator or "nile_star", family, cfg.n)
     w_stat = _statistic("statistic", cfg.statistic or FAMILIES[family].contrast or "ancillary",
                         family, cfg.n)
-    return verify.cond_moment_dependence(
-        estimator, family, cfg.theta, _mc_config(cfg, (cfg.theta,)), w_stat=w_stat, c=cfg.c)
+    return verify.cond_moment_dependence(estimator, family, _mc_config(cfg, (cfg.theta,)),
+                                         w_stat=w_stat, c=cfg.c)
 
 
 def _variance_table(cfg):
@@ -246,7 +246,7 @@ EXPERIMENTS = {
         "variance of the score equals (2 + 1/c^2)/theta^2, exceeding "
         "the location-only information 1/(c^2 theta^2)",
         "theta = 1, c = 1, replicates = 100000",
-        lambda cfg: verify.fisher_info(cfg.theta, cfg.c, _mc_config(cfg, (cfg.theta,), n=1)),
+        lambda cfg: verify.fisher_info(_mc_config(cfg, (cfg.theta,), n=1), cfg.c),
         "theta c replicates seed workers"),
     "variance-table": _experiment(
         "Monte Carlo bias/variance/MSE comparison across estimators",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .families import (FAMILIES, DegenerateSampleError, InputError,  # noqa: F401 (re-export)
                        InsufficientSampleError, Kind, ObservationSet, reduce)
-from .verify import STATISTICS
+from .verify import STATISTICS, resolve_statistic
 
 
 #: One member per declared ``ancillary`` of a ``FAMILIES`` row, in row order.
@@ -44,15 +44,17 @@ class SufficientSummary:
         family.check_summary(self.components)
 
     def evaluate(self, name: str, c: float = 1.0) -> float:
-        """The engine statistic ``name`` on this summary; InputError unless its
-        ``verify.STATISTICS`` row is a function of this family's summary and
-        is defined at its sample size."""
-        row, names = STATISTICS[name], FAMILIES[self.kind.value].sufficient
-        if self.kind.value not in row.families or not set(row.reads) <= set(names):
+        """The engine statistic ``name`` (``ancillary``: the family's declared one) on
+        this summary; InputError unless ``verify.resolve_statistic`` finds its row at
+        this family and sample size, and the row reads only this family's summary."""
+        try:
+            row = resolve_statistic(name, self.kind.value, self.n)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
+        names = FAMILIES[self.kind.value].sufficient
+        if not set(row.reads) <= set(names):
             raise InputError(f"{name} is not defined on a {self.kind.value} summary")
-        if self.n < row.min_n:
-            raise InputError(f"statistic {name!r} needs n >= {row.min_n}, got n = {self.n}")
-        return _evaluate(name, dict(zip(names, self.components)), self.n, c)
+        return _evaluate(row, dict(zip(names, self.components)), self.n, c)
 
 
 @dataclass(frozen=True)
@@ -65,10 +67,10 @@ class AncillaryValue:
             raise InputError("ancillary value must be finite")
 
 
-def _evaluate(name: str, values: dict, n: int = 1, c: float = 1.0) -> float:
-    """The engine statistic ``name`` on one replicate with reduced ``values``."""
+def _evaluate(row, values: dict, n: int = 1, c: float = 1.0) -> float:
+    """The engine statistic ``row`` on one replicate with reduced ``values``."""
     sim = {k: np.array([v], dtype=float) for k, v in values.items()}
-    return float(STATISTICS[name].compute(sim, math.nan, n, c)[0])
+    return float(row.compute(sim, math.nan, n, c)[0])
 
 
 def sufficient(obs: ObservationSet) -> SufficientSummary:
@@ -99,14 +101,14 @@ def first_order_h(x: float, y: float) -> int:
     """1{|x|<=1} + 1{|y|<=1}; symmetric in (x,y) and under joint sign flip."""
     if not (math.isfinite(x) and math.isfinite(y)):
         raise InputError("non-finite point")
-    return int(_evaluate("first_order_h", {"x": x, "y": y}))
+    return int(_evaluate(STATISTICS["first_order_h"], {"x": x, "y": y}))
 
 
 def positive_indicator(x: float) -> int:
     """1 if x > 0 else 0."""
     if not math.isfinite(x):
         raise InputError("non-finite value")
-    return int(_evaluate("positive_indicator", {"xbar": x}))
+    return int(_evaluate(STATISTICS["positive_indicator"], {"xbar": x}))
 
 
 def residuals(obs: ObservationSet, standardized: bool = False) -> np.ndarray:

@@ -15,7 +15,7 @@ a decided verdict (ancillarity, by a distribution-free bound); each
 point's chunks are put together in chunk order, not in the order the
 workers finish them: the kept arrays, each chunk's values in its own
 slice with the gaps of dropped replicates closed, or, for the moment-only
-verifiers (first-order, rao with its calibration run, and fisher-info),
+verifiers (first-order, rao with its centring run, and fisher-info),
 each chunk's count, mean and central sums M2, M3, M4, merged, or, for
 independence, each chunk's table of counts, summed; its bin edges come
 from a pilot drawn from ``master_seed + 1``'s substreams, which no counted
@@ -135,6 +135,13 @@ class VerificationReport:
                 rows.append([p.param, k, p.estimates.get(k, ""),
                              p.se.get(k, ""), p.statistics.get(k, "")])
         return header, rows
+
+
+def _report(claim: str, config: MCConfig, points: list, statistics: dict, verdicts: dict,
+            degenerate: int = 0) -> VerificationReport:
+    """The report of a Monte Carlo run of ``config``; its grid is the points' params."""
+    return VerificationReport(claim, config.as_dict(), [p.param for p in points], points,
+                              statistics, verdicts, config.master_seed, degenerate)
 
 
 FAMILY_TOKENS = tuple(FAMILIES)
@@ -549,12 +556,9 @@ def verify_ancillarity(token: str, statistic: str, config: MCConfig,
     verdicts = {"distribution-invariant": "pass" if invariant else "fail"}
     if degenerate > 0:
         verdicts["no-degenerate-samples"] = "fail"
-    return VerificationReport(
-        claim=f"ancillarity of {statistic} for {token}",
-        config=config.as_dict(), grid=list(grid), points=points,
-        statistics={"max_ks": max_ks, "ks_threshold": threshold, **pair_stats,
-                    **({"dkw_delta": DKW_DELTA} if decided else {})},
-        verdicts=verdicts, seed=config.master_seed, degenerate_count=degenerate)
+    return _report(f"ancillarity of {statistic} for {token}", config, points,
+                   {"max_ks": max_ks, "ks_threshold": threshold, **pair_stats,
+                    **({"dkw_delta": DKW_DELTA} if decided else {})}, verdicts, degenerate)
 
 
 def dkw_bound(m: int, points: int) -> float:
@@ -604,11 +608,8 @@ def verify_first_order(token: str, statistic: str, config: MCConfig,
         points.append(GridPointResult(param=t, estimates={statistic: m},
                                       se={statistic: se}, statistics={"z": z}))
     verdicts = {"mean-constant": "pass" if zmax < 3.0 else "fail"}
-    return VerificationReport(
-        claim=f"first-order ancillarity of {statistic} for {token}",
-        config=config.as_dict(), grid=list(config.theta_grid), points=points,
-        statistics={"target_mean": target, "max_abs_z": zmax},
-        verdicts=verdicts, seed=config.master_seed, degenerate_count=degenerate)
+    return _report(f"first-order ancillarity of {statistic} for {token}", config, points,
+                   {"target_mean": target, "max_abs_z": zmax}, verdicts, degenerate)
 
 
 def _quantile_edges(arr: np.ndarray, k: int) -> np.ndarray:
@@ -692,11 +693,9 @@ def verify_independence(stat_a: str, stat_b: str, token: str, config: MCConfig,
         points.append(GridPointResult(param=t, statistics={"chi2": chi2, "p_value": p}))
     min_p = min((pt.statistics["p_value"] for pt in points), default=1.0)
     verdicts = {"independent": "pass" if min_p >= INDEPENDENCE_ALPHA else "fail"}
-    return VerificationReport(
-        claim=f"independence of {stat_a} and {stat_b} for {token}",
-        config=config.as_dict(), grid=list(config.theta_grid), points=points,
-        statistics={"min_p_value": min_p, "alpha": INDEPENDENCE_ALPHA, "bins": k},
-        verdicts=verdicts, seed=config.master_seed, degenerate_count=degenerate)
+    return _report(f"independence of {stat_a} and {stat_b} for {token}", config, points,
+                   {"min_p_value": min_p, "alpha": INDEPENDENCE_ALPHA, "bins": k},
+                   verdicts, degenerate)
 
 
 @dataclass(frozen=True)
@@ -735,39 +734,47 @@ def _positive_log(token: str, *_):
     return log
 
 
-def _median_indicator(token: str, n: int, c: float, seed: int, workers: int):
-    """1{w <= median}, the ancillary's median frozen from 1e5 replicates at theta=1."""
-    drawn, _ = run_grid(token, (1.0,), n, c, MCConfig(seed, 100_000, (1.0,), n, workers),
-                        ["ancillary"])
+def _median_indicator(token: str, config: MCConfig, c: float):
+    """1{w <= median}, the ancillary's median frozen from 1e5 replicates at theta=1,
+    drawn from ``config``'s ``master_seed + 2``."""
+    median_run = replace(config, master_seed=config.master_seed + 2, replicates=100_000,
+                         theta_grid=(1.0,))
+    drawn, _ = run_grid(token, median_run.theta_grid, median_run.n, c, median_run, ["ancillary"])
     median = float(np.median(drawn[0]["ancillary"]))
     return lambda w: (np.asarray(w) <= median).astype(float)
 
 
 #: Transforms of the ancillary for zero-mean statistics, by name: each maps
-#: (token, n, c, seed, workers) to the elementwise transform; the log reads the
-#: token, the median indicator all five, for its calibration run.
+#: (token, config, c) to the elementwise transform; the log reads the token,
+#: the median indicator all three, for its median run.
 TRANSFORMS = {"log": _positive_log, "identity": lambda *_: identity,
               "indicator": _median_indicator}
 
 
-def zero_mean_from_ancillary(transform: str, token: str, n: int, seed: int, c: float = 1.0,
-                             workers: int = 1, calibration_n: int = 10 ** 6) -> ZeroMeanSpec:
+#: Replicates of the run that estimates the centre of rao's U.
+CENTRING_REPLICATES = 10 ** 6
+
+
+def zero_mean_from_ancillary(transform: str, token: str, config: MCConfig,
+                             c: float = 1.0) -> ZeroMeanSpec:
     """The zero-mean statistic U of family ``token``: the one builder of rao's U.
 
     A family row with a ``contrast`` gives that contrast, whose mean is 0
     exactly: centre 0, SE 0, and nothing is drawn.  Otherwise U is the
     ``TRANSFORMS[transform]`` of the ancillary less its mean, estimated once
-    at theta = 1 from ``seed`` (the indicator's median from ``seed + 1``) on
-    ``workers`` threads, which it does not depend on; its SE is carried, so
-    the covariance test can widen its error band.  Streams: keeps the
-    moments, not the replicates.
+    from CENTRING_REPLICATES at theta = 1, drawn from ``config``'s
+    ``master_seed + 1`` (the indicator's median from ``+ 2``) on its workers,
+    which it does not depend on; its SE is carried, so the covariance test
+    can widen its error band.  Streams: keeps the moments, not the replicates.
     """
     contrast = FAMILIES[token].contrast
     if contrast:
         return ZeroMeanSpec("first-contrast", contrast, identity, center=0.0, center_se=0.0)
-    fn = TRANSFORMS[transform](token, n, c, seed + 1, workers)
-    drawn, _ = run_grid(token, (1.0,), n, c, MCConfig(seed, calibration_n, (1.0,), n, workers),
-                        ["ancillary"], moments_of=lambda sim: {"U": fn(sim["ancillary"])})
+    fn = TRANSFORMS[transform](token, config, c)
+    centring = replace(config, master_seed=config.master_seed + 1,
+                       replicates=CENTRING_REPLICATES, theta_grid=(1.0,))
+    drawn, _ = run_grid(token, centring.theta_grid, centring.n, c, centring, ["ancillary"],
+                        moments_of=lambda sim: {"U": fn(sim["ancillary"])})
     center, center_se = _mean_se(drawn[0]["U"])
     return ZeroMeanSpec(f"{transform}-of-ancillary", "ancillary", fn, center, center_se)
 
@@ -816,18 +823,14 @@ def rao_zero_cov(g_stat: str, u: ZeroMeanSpec, token: str, config: MCConfig,
         verdict = "fail"       # violates the necessary condition
     else:
         verdict = "inconclusive"
-    return VerificationReport(
-        claim=f"zero covariance of {g_stat}^{power} with {u.id} for {token}",
-        config=config.as_dict(), grid=list(config.theta_grid), points=points,
-        statistics={"max_abs_z": zmax, "power": power},
-        verdicts={"zero-covariance": verdict},
-        seed=config.master_seed, degenerate_count=degenerate)
+    return _report(f"zero covariance of {g_stat}^{power} with {u.id} for {token}", config, points,
+                   {"max_abs_z": zmax, "power": power}, {"zero-covariance": verdict}, degenerate)
 
 
-def cond_moment_dependence(g_stat: str, token: str, theta: float,
-                           config: MCConfig, w_stat: str = "ancillary",
-                           c: float = 1.0) -> VerificationReport:
-    """Bin the ancillary into deciles and test whether E(g^2 | bin) varies.
+def cond_moment_dependence(g_stat: str, token: str, config: MCConfig,
+                           w_stat: str = "ancillary", c: float = 1.0) -> VerificationReport:
+    """Bin the ancillary into deciles, at ``config``'s one grid point theta, and
+    test whether E(g^2 | bin) varies.
 
     Verdict ``fail`` (dependence detected) when the spread between the
     extreme bin means exceeds 4x their combined SE; ``pass`` means no
@@ -836,9 +839,10 @@ def cond_moment_dependence(g_stat: str, token: str, theta: float,
     prediction at the bin center.  A bin of fewer than two replicates raises
     VerificationError.
     """
-    drawn, degenerate = run_grid(token, (theta,), config.n, c, config,
+    (theta,) = config.theta_grid  # ValueError unless the run has one grid point
+    drawn, degenerate = run_grid(token, config.theta_grid, config.n, c, config,
                                  [g_stat, w_stat])
-    predict = (STATISTICS[g_stat].cond_m2
+    predict = (resolve_statistic(g_stat, token, config.n).cond_m2
                if w_stat in ("ancillary", FAMILIES[token].ancillary) else None)
     sim = drawn[0]
     w = sim[w_stat]
@@ -872,25 +876,24 @@ def cond_moment_dependence(g_stat: str, token: str, theta: float,
         points.append(GridPointResult(param=center, estimates={"E[g^2|bin]": m},
                                       se={"E[g^2|bin]": se}, statistics=stats))
     depends = spread > 4.0 * spread_se
-    return VerificationReport(
-        claim=f"conditional second moment of {g_stat} given {w_stat} for {token}",
-        config=config.as_dict(), grid=[p.param for p in points], points=points,
-        statistics={"spread": spread, "spread_se": spread_se, "theta": theta},
-        verdicts={"no-dependence": "fail" if depends else "pass"},
-        seed=config.master_seed, degenerate_count=degenerate)
+    return _report(f"conditional second moment of {g_stat} given {w_stat} for {token}",
+                   config, points, {"spread": spread, "spread_se": spread_se, "theta": theta},
+                   {"no-dependence": "fail" if depends else "pass"}, degenerate)
 
 
-def fisher_info(theta: float, c: float, config: MCConfig) -> VerificationReport:
-    """MC variance of the per-observation score vs the closed form (2 + 1/c^2)/theta^2.
+def fisher_info(config: MCConfig, c: float) -> VerificationReport:
+    """MC variance of the per-observation score vs the closed form (2 + 1/c^2)/theta^2,
+    at ``config``'s one grid point theta.
 
     Also reports the location-only information 1/(c^2 theta^2) and the
     ratio (2 c^2 + 1) between the two.  Streams: keeps the moments of the
     score, not its replicates: those of theta times the score, whose fourth
     central moment stays in the float range at a large theta.
     """
+    (theta,) = config.theta_grid  # ValueError unless the run has one grid point
     if not np.finfo(float).tiny <= theta * theta < math.inf:  # the variance's divisor
         raise VerificationError(f"score_variance at theta={theta:g}: theta^2 is not a normal float")
-    drawn, _ = run_grid("normal_cv", (theta,), 1, c, config, ["score"],
+    drawn, _ = run_grid("normal_cv", config.theta_grid, config.n, c, config, ["score"],
                         moments_of=lambda sim: {"score": theta * sim["score"]})
     var, se = (v / (theta * theta) for v in _var_se(drawn[0]["score"]))
     closed = (2.0 + 1.0 / (c * c)) / (theta * theta)
@@ -898,13 +901,10 @@ def fisher_info(theta: float, c: float, config: MCConfig) -> VerificationReport:
     z = _z(var - closed, se, "score_variance", theta)
     point = GridPointResult(param=theta, estimates={"score_variance": var},
                             se={"score_variance": se}, statistics={"z": z})
-    return VerificationReport(
-        claim=f"Fisher information of N(theta, (c*theta)^2) at theta={theta:g}, c={c:g}",
-        config=config.as_dict(), grid=[theta], points=[point],
-        statistics={"closed_form": closed, "location_only": location_only,
-                    "info_ratio": closed / location_only},
-        verdicts={"matches-closed-form": "pass" if abs(z) < 3.0 else "fail"},
-        seed=config.master_seed)
+    return _report(f"Fisher information of N(theta, (c*theta)^2) at theta={theta:g}, c={c:g}",
+                   config, [point], {"closed_form": closed, "location_only": location_only,
+                                     "info_ratio": closed / location_only},
+                   {"matches-closed-form": "pass" if abs(z) < 3.0 else "fail"})
 
 
 def variance_table(estimators, token: str, config: MCConfig,
@@ -929,8 +929,5 @@ def variance_table(estimators, token: str, config: MCConfig,
             est[f"{name}.mse"] = var + (m - t) ** 2
             stats[f"{name}.mean"] = m
         points.append(GridPointResult(param=t, estimates=est, se=se, statistics=stats))
-    return VerificationReport(
-        claim=f"bias/variance/MSE of {', '.join(estimators)} for {token}",
-        config=config.as_dict(), grid=list(config.theta_grid), points=points,
-        statistics={}, verdicts={"table-computed": "pass"},
-        seed=config.master_seed, degenerate_count=degenerate)
+    return _report(f"bias/variance/MSE of {', '.join(estimators)} for {token}", config, points,
+                   {}, {"table-computed": "pass"}, degenerate)

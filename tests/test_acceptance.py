@@ -91,7 +91,7 @@ def test_criterion_4_fisher_information():
         t0 = time.perf_counter()
         cfg = verify.MCConfig(master_seed=104, replicates=1_000_000,
                               theta_grid=(1.0,), n=1)
-        rep = verify.fisher_info(1.0, 1.0, cfg)
+        rep = verify.fisher_info(cfg, 1.0)
         p = rep.points[0]
         assert abs(p.estimates["score_variance"] - 3.0) < 3 * p.se["score_variance"]
         assert rep.statistics["closed_form"] == pytest.approx(3.0)
@@ -133,22 +133,19 @@ def test_criterion_6_star_unbiasedness():
 
 def test_criterion_7_zero_covariance_harness():
     with criterion(7, "zero-covariance harness"):
-        u0 = verify.zero_mean_from_ancillary("log", "normal_unit", n=2, seed=107)
-        pos = verify.rao_zero_cov(
-            "sample_mean", u0, "normal_unit",
-            verify.MCConfig(master_seed=107, replicates=100_000,
-                            theta_grid=(0.5, 1.0, 2.0), n=2))
+        cfg = verify.MCConfig(master_seed=107, replicates=100_000,
+                              theta_grid=(0.5, 1.0, 2.0), n=2)
+        u0 = verify.zero_mean_from_ancillary("log", "normal_unit", cfg)
+        pos = verify.rao_zero_cov("sample_mean", u0, "normal_unit", cfg)
         assert pos.statistics["max_abs_z"] < 3.0
         assert pos.verdicts["zero-covariance"] == "pass"
         # at least one zero-mean function of the ancillary exposes the MLE
         violated = False
         for transform in ("log", "identity"):
-            u = verify.zero_mean_from_ancillary(transform, "nile", n=1, seed=108,
-                                                calibration_n=400_000)
-            rep = verify.rao_zero_cov(
-                "nile_mle", u, "nile",
-                verify.MCConfig(master_seed=109, replicates=100_000,
-                                theta_grid=(0.5, 1.0, 2.0), n=1))
+            cfg = verify.MCConfig(master_seed=109, replicates=100_000,
+                                  theta_grid=(0.5, 1.0, 2.0), n=1)
+            u = verify.zero_mean_from_ancillary(transform, "nile", cfg)
+            rep = verify.rao_zero_cov("nile_mle", u, "nile", cfg)
             if rep.verdicts["zero-covariance"] == "fail":
                 assert rep.statistics["max_abs_z"] > 4.0
                 violated = True

@@ -232,6 +232,10 @@ BAD_CONFIGS = [
     # an RNG-free kind reads no seed and no worker count
     ("kind = constraints\nseed = 7\nworkers = 9\n", "line 2: field 'seed'"),
     ("kind = quadrature-selftest\nworkers = 9\n", "line 2: field 'workers'"),
+    # numpy's own error names no field
+    ("kind = ancillarity\nseed = -1\n", "field 'seed': must be >= 0, got -1"),
+    ("kind = independence\nseed = -1\n", "field 'seed': must be >= 0, got -1"),
+    ("kind = rao\nseed = -1\n", "field 'seed': must be >= 0, got -1"),
 ]
 
 
@@ -244,6 +248,34 @@ def test_bad_config_exits_one_with_error_line(tmp_path, capsys, text, message):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
     assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("kind", ["ancillarity", "independence", "rao"])
+def test_negative_seed_flag_names_the_field(tmp_path, capsys, kind):
+    cfg = _write(tmp_path, f"kind = {kind}\nreplicates = 2000\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: field 'seed': must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+#: The config keys that name a statistic.
+_STATISTIC_KEYS = ("statistic", "stat_a", "stat_b", "estimator", "estimators")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind,n", [(kind, n) for kind, row in EXPERIMENTS.items()
+                                    if "family" in row.keys and "replicates" in row.keys
+                                    for n in ((1, 2, 5) if "n" in row.keys else (None,))])
+def test_ancillary_alias_in_every_statistic_key(tmp_path, capsys, kind, n):
+    # cond-moment once read its estimator's row by the raw name: KeyError
+    keys = EXPERIMENTS[kind].keys
+    text = f"kind = {kind}\nfamily = nile\nreplicates = 300\n" + f"n = {n}\n" * (n is not None)
+    text += "".join(f"{key} = ancillary\n" for key in _STATISTIC_KEYS if key in keys)
+    cfg = _write(tmp_path, text)
+    code = main(["run", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code in (0, 2, 3) or (code == 1 and len(err) == 1 and err[0].startswith("error: "))
 
 
 def _out_is_file(tmp_path):
@@ -460,7 +492,7 @@ def _mc(grid, n=5):
 
 
 def _zero_mean(family):
-    return ("zero_mean_from_ancillary", ("log", family, 5, 1), {"c": 1.0, "workers": 1})
+    return ("zero_mean_from_ancillary", ("log", family, _mc((0.5, 1, 2))), {"c": 1.0})
 
 
 #: (kind, family, extra config) -> the verify calls today's per-family defaults
@@ -495,17 +527,17 @@ _FAMILY_DEFAULTS = {
         ("rao_zero_cov", ("sample_mean", None, "normal_unit", _mc((0.5, 1, 2))),
          {"power": 1, "c": 1.0})],
     ("cond-moment", "nile", ""): [
-        ("cond_moment_dependence", ("nile_star", "nile", 1.0, _mc((1.0,))),
+        ("cond_moment_dependence", ("nile_star", "nile", _mc((1.0,))),
          {"w_stat": "ancillary", "c": 1.0})],
     ("cond-moment", "bivariate_gaussian_corr", "estimator = xy_product"): "field 'statistic'",
     ("cond-moment", "normal_cv", "estimator = khan_linear"): [
-        ("cond_moment_dependence", ("khan_linear", "normal_cv", 1.0, _mc((1.0,))),
+        ("cond_moment_dependence", ("khan_linear", "normal_cv", _mc((1.0,))),
          {"w_stat": "ancillary", "c": 1.0})],
     ("cond-moment", "uniform_location", "estimator = pitman_midrange"): [
-        ("cond_moment_dependence", ("pitman_midrange", "uniform_location", 1.0, _mc((1.0,))),
+        ("cond_moment_dependence", ("pitman_midrange", "uniform_location", _mc((1.0,))),
          {"w_stat": "ancillary", "c": 1.0})],
     ("cond-moment", "normal_unit", "estimator = sample_mean"): [
-        ("cond_moment_dependence", ("sample_mean", "normal_unit", 1.0, _mc((1.0,))),
+        ("cond_moment_dependence", ("sample_mean", "normal_unit", _mc((1.0,))),
          {"w_stat": "diff12", "c": 1.0})],
 }
 

@@ -177,7 +177,7 @@ MEMORY_N = 640_000
 _CONTRAST = ZeroMeanSpec(id="first-contrast", source="diff12", transform=identity,
                          center=0.0, center_se=0.0)
 MOMENT_ONLY = {
-    "fisher_info": lambda: fisher_info(1.0, 1.0, MCConfig(1, MEMORY_N, (1.0,), 1)),
+    "fisher_info": lambda: fisher_info(MCConfig(1, MEMORY_N, (1.0,), 1), 1.0),
     "verify_first_order": lambda: verify_first_order(
         "bivariate_gaussian_corr", "first_order_h", MCConfig(1, MEMORY_N, (-0.9, 0.0, 0.9), 1)),
     "rao_zero_cov": lambda: rao_zero_cov(

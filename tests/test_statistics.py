@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilelab.families import InputError, Kind, ObservationSet, nile, normal_cv, uniform_location
+from nilelab.verify import STATISTICS
 from nilelab.statistics import (DegenerateSampleError, InsufficientSampleError,
                                 StatId, SufficientSummary, ancillary,
                                 first_order_h, positive_indicator, residuals,
@@ -90,8 +91,21 @@ class TestEvaluate:
         (Kind.UNIFORM_LOCATION, (0.0, 1.0), "sample_mean"),
         (Kind.NORMAL_CV, (1.0, 2.0), "score")])
     def test_rejects_row_it_cannot_evaluate(self, kind, components, name):
-        with pytest.raises(InputError, match=f"{name} is not defined on a {kind.value}"):
+        message = (f"{name} is not defined on a {kind.value} summary"
+                   if kind.value in STATISTICS[name].families
+                   else f"statistic '{name}' is not defined for family '{kind.value}'")
+        with pytest.raises(InputError, match=message):
             SufficientSummary(kind, components, 5).evaluate(name)
+
+    def test_alias_is_the_familys_declared_ancillary(self):
+        summary = SufficientSummary(Kind.NILE, (2.0, 3.0), 5)
+        assert summary.evaluate("ancillary") == summary.evaluate("nile_product") == 6.0
+        with pytest.raises(InputError, match="family 'normal_unit' declares no ancillary"):
+            SufficientSummary(Kind.NORMAL_UNIT, (1.0,), 5).evaluate("ancillary")
+
+    def test_unknown_name_raises_input_error(self):
+        with pytest.raises(InputError, match="unknown statistic 'bogus'"):
+            SufficientSummary(Kind.NILE, (2.0, 3.0), 5).evaluate("bogus")
 
     @pytest.mark.parametrize("name", ["normal_cv_ratio", "sample_sd", "khan_linear"])
     def test_rejects_sample_size_below_the_rows_min_n(self, name):

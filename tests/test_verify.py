@@ -522,9 +522,9 @@ class TestIndependence:
 class TestRaoZeroCov:
     def test_positive_control_complete_family(self):
         # N(theta, 1): complete sufficient statistic, condition must hold
-        u = zero_mean_from_ancillary("log", "normal_unit", n=2, seed=1)
-        rep = rao_zero_cov("sample_mean", u, "normal_unit",
-                           _cfg(grid=(0.5, 1.0, 2.0), replicates=50_000, n=2))
+        cfg = _cfg(grid=(0.5, 1.0, 2.0), replicates=50_000, n=2)
+        u = zero_mean_from_ancillary("log", "normal_unit", cfg)
+        rep = rao_zero_cov("sample_mean", u, "normal_unit", cfg)
         assert rep.verdicts["zero-covariance"] == "pass"
 
     def test_exact_contrast_draws_nothing(self, monkeypatch):
@@ -533,15 +533,15 @@ class TestRaoZeroCov:
 
         monkeypatch.setattr(verify, "run_grid", no_draws)
         for transform in TRANSFORMS:
-            u = zero_mean_from_ancillary(transform, "normal_unit", n=5, seed=1)
+            u = zero_mean_from_ancillary(transform, "normal_unit", _cfg())
             assert (u.id, u.source, u.center, u.center_se) == ("first-contrast", "diff12",
                                                                 0.0, 0.0)
             assert u.transform is identity
 
     def test_nile_mle_violates(self):
-        u = zero_mean_from_ancillary("log", "nile", n=1, seed=11, calibration_n=200_000)
-        rep = rao_zero_cov("nile_mle", u, "nile",
-                           _cfg(grid=(0.5, 1.0, 2.0), replicates=100_000, n=1))
+        cfg = _cfg(grid=(0.5, 1.0, 2.0), replicates=100_000, n=1)
+        u = zero_mean_from_ancillary("log", "nile", cfg)
+        rep = rao_zero_cov("nile_mle", u, "nile", cfg)
         assert rep.verdicts["zero-covariance"] == "fail"
         assert rep.statistics["max_abs_z"] > 4.0
 
@@ -566,14 +566,14 @@ class TestRaoZeroCov:
 
     def test_calibration_center_near_known_value(self):
         # E log(xbar ybar) at n = 1 is -2 * Euler-Mascheroni
-        u = zero_mean_from_ancillary("log", "nile", n=1, seed=3, calibration_n=400_000)
+        u = zero_mean_from_ancillary("log", "nile", _cfg(seed=2, grid=(1.0,), n=1))
         gamma = 0.5772156649015329
         assert abs(u.center + 2.0 * gamma) < 4.0 * u.center_se
 
 
 class TestCondMomentDependence:
     def test_star_estimator_second_moment_varies(self):
-        rep = cond_moment_dependence("nile_star", "nile", 1.0,
+        rep = cond_moment_dependence("nile_star", "nile",
                                      _cfg(grid=(1.0,), n=1, replicates=200_000))
         assert rep.verdicts["no-dependence"] == "fail"
         # the row's closed-form prediction tracks the bin means
@@ -585,9 +585,10 @@ class TestCondMomentDependence:
         ("nile_star", "nile", "nile_product", True),  # the family's ancillary by name
         ("nile_star", "nile", "sample_mean", False),  # not the ancillary
         ("nile_mle", "nile", "ancillary", False),     # its row gives no prediction
+        ("ancillary", "nile", "ancillary", False),    # g by the alias: nile_product's row
         ("khan_linear", "normal_cv", "ancillary", False)])
     def test_prediction_is_drawn_from_the_row(self, g_stat, token, w_stat, predicted):
-        rep = cond_moment_dependence(g_stat, token, 1.0, _cfg(grid=(1.0,), replicates=2000),
+        rep = cond_moment_dependence(g_stat, token, _cfg(grid=(1.0,), replicates=2000),
                                      w_stat=w_stat)
         for p in rep.points:
             assert ("prediction" in p.statistics) is predicted
@@ -596,10 +597,10 @@ class TestCondMomentDependence:
 
     def test_too_few_replicates_for_a_decile_bin(self):
         with pytest.raises(VerificationError, match="a decile bin of .* holds 1 replicates"):
-            cond_moment_dependence("nile_star", "nile", 1.0, _cfg(grid=(1.0,), replicates=10))
+            cond_moment_dependence("nile_star", "nile", _cfg(grid=(1.0,), replicates=10))
 
     def test_fixture_shows_no_dependence(self):
-        rep = cond_moment_dependence("sample_mean", "normal_unit", 1.0,
+        rep = cond_moment_dependence("sample_mean", "normal_unit",
                                      _cfg(grid=(1.0,), n=2, replicates=100_000),
                                      w_stat="diff12")
         assert rep.verdicts["no-dependence"] == "pass"
@@ -607,16 +608,56 @@ class TestCondMomentDependence:
 
 class TestFisherInfo:
     def test_matches_closed_form(self):
-        rep = fisher_info(1.0, 1.0, _cfg(grid=(1.0,), replicates=400_000))
+        rep = fisher_info(_cfg(grid=(1.0,), n=1, replicates=400_000), 1.0)
         assert rep.verdict == "pass"
         assert rep.statistics["closed_form"] == pytest.approx(3.0)
         assert rep.statistics["info_ratio"] == pytest.approx(3.0)
 
     def test_scales_with_theta_and_c(self):
-        rep = fisher_info(2.0, 0.5, _cfg(grid=(2.0,), replicates=400_000))
+        rep = fisher_info(_cfg(grid=(2.0,), n=1, replicates=400_000), 0.5)
         assert rep.verdict == "pass"
         assert rep.statistics["closed_form"] == pytest.approx(6.0 / 4.0)
         assert rep.statistics["info_ratio"] == pytest.approx(2 * 0.25 + 1)
+
+
+class TestOneRunConfig:
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """Each run_grid call's (grid, n, config), in call order."""
+        seen = []
+
+        def spy(token, grid, n, c, config, names, **kw):
+            seen.append((list(grid), n, config))
+            return run_grid(token, grid, n, c, config, names, **kw)
+
+        monkeypatch.setattr(verify, "run_grid", spy)
+        return seen
+
+    def test_fisher_info_draws_the_run_it_reports(self, draws):
+        # the theta and n of the draws were once separate arguments
+        cfg = _cfg(grid=(2.0,), n=3, replicates=2000)
+        rep = fisher_info(cfg, 1.0)
+        assert draws == [([2.0], 3, cfg)]
+        assert rep.grid == [2.0] and rep.config == cfg.as_dict() and rep.seed == 0
+
+    def test_cond_moment_draws_the_run_it_reports(self, draws):
+        cfg = _cfg(grid=(2.0,), n=3, replicates=2000)
+        rep = cond_moment_dependence("nile_star", "nile", cfg)
+        assert draws == [([2.0], 3, cfg)]
+        assert rep.statistics["theta"] == 2.0 and rep.config == cfg.as_dict()
+
+    def test_side_runs_are_derived_from_the_run(self, draws):
+        cfg = _cfg(seed=7, grid=(0.5, 2.0), n=2, replicates=2000, workers=2)
+        zero_mean_from_ancillary("indicator", "nile", cfg)
+        assert draws == [
+            ([1.0], 2, MCConfig(9, 100_000, (1.0,), 2, 2)),  # the indicator's median
+            ([1.0], 2, MCConfig(8, verify.CENTRING_REPLICATES, (1.0,), 2, 2))]  # the centre
+
+    @pytest.mark.parametrize("run", [lambda cfg: fisher_info(cfg, 1.0),
+                                     lambda cfg: cond_moment_dependence("nile_star", "nile", cfg)])
+    def test_one_point_runs_reject_a_grid(self, run):
+        with pytest.raises(ValueError, match="too many values to unpack"):
+            run(_cfg(grid=(1.0, 2.0)))
 
 
 class TestVarianceTable:
