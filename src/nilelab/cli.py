@@ -133,7 +133,7 @@ def format_config(cfg: ExperimentConfig) -> str:
 
 
 def _mc_config(cfg: ExperimentConfig, grid, n=None) -> verify.MCConfig:
-    if cfg.seed < 0:  # the run's one MCConfig: numpy's error would name no field
+    if cfg.seed < 0:  # named by its config key, where MCConfig's error says master_seed
         raise ConfigError(f"field 'seed': must be >= 0, got {cfg.seed}")
     return verify.MCConfig(cfg.seed, cfg.replicates, tuple(grid), n or cfg.n, cfg.workers)
 

@@ -68,6 +68,8 @@ class MCConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if self.master_seed < 0:  # numpy's SeedSequence error would name no field
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if self.n < 1:
@@ -164,7 +166,20 @@ def _normal_cv_ratio(sim, theta, n, c):
 
 def _khan_linear(sim, theta, n, c):
     a, b = khan_coefficients(n, c)
-    return a * sim["xbar"] + b * sim["s"]
+    out = np.multiply(sim["xbar"], a)
+    out += np.multiply(sim["s"], b)  # a xbar + b s
+    return out
+
+
+def _nile_mle(sim, theta, n, c):
+    out = np.divide(sim["ybar"], sim["xbar"])
+    return np.sqrt(out, out=out)
+
+
+def _nile_star(sim, theta, n, c):
+    out = h_star_vector(sim["xbar"] * sim["ybar"], n)
+    out *= sim["ybar"]  # ybar h*(w)
+    return out
 
 
 def _score(sim, theta, n, c):
@@ -186,10 +201,9 @@ STATISTICS = {
     "uniform_range": Statistic(lambda sim, t, n, c: sim["hi"] - sim["lo"], _LH, _UNIFORM),
     "sample_mean": Statistic(lambda sim, t, n, c: sim["xbar"], ("xbar",), _SCALAR | _NILE),
     "sample_sd": Statistic(lambda sim, t, n, c: sim["s"], ("s",), _CV, min_n=2),
-    "nile_mle": Statistic(lambda sim, t, n, c: np.sqrt(sim["ybar"] / sim["xbar"]), _XY, _NILE),
+    "nile_mle": Statistic(_nile_mle, _XY, _NILE),
     "nile_star": Statistic(  # E(g^2 | W = w) = theta^2 E_1(ybar^2 | w) / E_1(ybar | w)^2
-        lambda sim, t, n, c: sim["ybar"] * h_star_vector(sim["xbar"] * sim["ybar"], n),
-        _XY, _NILE, cond_m2=lambda w, t, n: t ** 2 * cond_second_moment_ratio(w, n)),
+        _nile_star, _XY, _NILE, cond_m2=lambda w, t, n: t ** 2 * cond_second_moment_ratio(w, n)),
     "nile_inverse_xbar": Statistic(lambda sim, t, n, c: 1.0 / sim["xbar"], ("xbar",), _NILE),
     "khan_linear": Statistic(_khan_linear, _MS, _CV, min_n=2),
     "normalcv_mle": Statistic(
@@ -234,9 +248,9 @@ def _chunk_sizes(total: int, chunks: int) -> list[int]:
     return [s for s in sizes if s > 0]
 
 
-#: Longest array whose deviations ``_moments`` forms in one piece (512 KiB of
+#: Longest array whose deviations ``_moments`` forms in one piece (256 KiB of
 #: float64); a longer one is split where numpy's pairwise sum splits it.
-_BLOCK = 65536
+_BLOCK = 32768
 
 
 def _moments(x: np.ndarray, order: int = 4) -> np.ndarray:
@@ -454,47 +468,56 @@ def ks_2samp(a: np.ndarray, b: np.ndarray) -> float:
     ``b``.  Both inputs must be sorted ascending; an empty one raises
     ValueError.
 
-    Each one-sided maximum is searched only where it can lie.  The term is
-    computed exactly (one ``searchsorted``) at the probes, every
-    ``_KS_STRIDE``-th point of ``a`` and its last; their largest term is a
-    lower bound L.  The count #{b <= a[k]} never falls as k rises, so every
-    term strictly between probes p < q is at most q/n1 - #{b <= a[p]}/n2,
-    the block's bound, and only the blocks whose bound reaches L are
-    searched.  The bound is the same float expression as a term, and
-    division and subtraction round monotonically, so it also bounds the
-    rounded terms: a skipped block holds only floats below L, and no
-    margin is needed.  D is therefore the float of the search over every
-    point, ties included.
+    Each one-sided maximum is searched only where it can lie, in two probe
+    levels.  The term is computed exactly (one ``searchsorted``) at the
+    probes, every ``_KS_STRIDE``-th point of ``a`` and its last; their
+    largest term is a lower bound L.  The count #{b <= a[k]} never falls as
+    k rises, so every term strictly between probes p < q is at most
+    q/n1 - #{b <= a[p]}/n2, the gap's bound.  Only the blocks whose bound
+    reaches L are probed again, every ``_KS_SUBSTRIDE``-th point, which
+    raises L to the largest term probed so far, and only the sub-blocks
+    whose bound reaches that are searched point by point.  The bound is the
+    same float expression as a term, and division and subtraction round
+    monotonically, so it also bounds the rounded terms: a skipped gap holds
+    only floats below L, and no margin is needed.  D is therefore the float
+    of the search over every point, ties included.
     """
     if a.size == 0 or b.size == 0:
         raise ValueError("KS distance needs two non-empty samples")
     return max(0.0, _ks_one_sided(a, b), _ks_one_sided(b, a))
 
 
-#: Probe spacing of ``_ks_one_sided``.
-_KS_STRIDE = 256
+#: Probe spacings of ``_ks_one_sided``: every 256th point of a sample, then
+#: every 16th point of a block that can hold the supremum.
+_KS_STRIDE, _KS_SUBSTRIDE = 256, 16
 
-#: Candidate blocks ``_ks_one_sided`` searches at once: about _BLOCK / 4
-#: points, so the batch's five index and term arrays hold about 640 KiB.
-_KS_BATCH = _BLOCK // (4 * _KS_STRIDE)
+#: Sub-blocks ``_ks_one_sided`` searches at once: about _BLOCK / 4 points, so
+#: each of the batch's index and term arrays holds about 60 KiB.
+_KS_BATCH = _BLOCK // (4 * _KS_SUBSTRIDE)
 
 
 def _ks_one_sided(a: np.ndarray, b: np.ndarray) -> float:
     """max over k of the float (k + 1)/n1 - #{b <= a[k]}/n2, a and b sorted,
     by the bounded search of ``ks_2samp``."""
     n1, n2 = a.size, b.size
-    probes = np.append(np.arange(0, n1 - 1, _KS_STRIDE), n1 - 1)
-    counts = np.searchsorted(b, a[probes], side="right")
-    best = ((probes + 1) / n1 - counts / n2).max()
-    bound = probes[1:] / n1 - counts[:-1] / n2
-    starts = probes[:-1][bound >= best] + 1
-    # a batch of blocks at a time, so the temporaries do not grow with the
-    # number of blocks that reach the bound
+
+    def probe(k, best):
+        """The largest of ``best`` and the terms at the probes ``k`` (each row
+        ascending), and the first probe of every gap in a row whose bound reaches it."""
+        counts = np.searchsorted(b, a[k], side="right")
+        best = max(best, ((k + 1) / n1 - counts / n2).max(initial=-math.inf))
+        return best, k[..., :-1][k[..., 1:] / n1 - counts[..., :-1] / n2 >= best]
+
+    # the first row spans the sample and each second-level row one block;
+    # clipping a row's overhang repeats the last point, whose term is exact
+    best, starts = probe(np.minimum(np.arange(0, n1 - 1 + _KS_STRIDE, _KS_STRIDE), n1 - 1),
+                         -math.inf)
+    best, starts = probe(np.minimum(starts[:, None] + np.arange(0, _KS_STRIDE + 1, _KS_SUBSTRIDE),
+                                    n1 - 1), best)
+    # a batch of sub-blocks at a time, so the temporaries do not grow with the
+    # number of sub-blocks that reach the bound
     for i in range(0, starts.size, _KS_BATCH):
-        # every block but the last spans _KS_STRIDE - 1 points; clipping the
-        # last one's overhang repeats the last probe, whose term is exact
-        k = np.minimum(starts[i:i + _KS_BATCH, None] + np.arange(_KS_STRIDE - 1),
-                       n1 - 1).ravel()
+        k = np.minimum(starts[i:i + _KS_BATCH, None] + np.arange(1, _KS_SUBSTRIDE), n1 - 1)
         best = max(best, ((k + 1) / n1 - np.searchsorted(b, a[k], side="right") / n2).max())
     return float(best)
 

@@ -32,6 +32,12 @@ class TestMCConfig:
         with pytest.raises(ValueError):
             MCConfig(0, 10, (1.0,), 5, workers=0)
 
+    def test_negative_seed_is_rejected_by_field(self):
+        # numpy's SeedSequence would raise a bare "expected non-negative integer"
+        with pytest.raises(ValueError, match=r"^master_seed must be >= 0, got -1$"):
+            MCConfig(-1, 100, (1, 2), 5)
+        assert MCConfig(0, 100, (1, 2), 5).master_seed == 0
+
     def test_grid_coerced_to_floats(self):
         cfg = MCConfig(0, 10, (1, 2), 5)
         assert cfg.theta_grid == (1.0, 2.0)
@@ -256,14 +262,17 @@ def _full_search_ks(a, b):
     return max(0.0, float(d_ab.max()), float(d_ba.max()))
 
 
-_S = verify._KS_STRIDE
+_S, _T = verify._KS_STRIDE, verify._KS_SUBSTRIDE
 
 
 class TestKsBoundedSearch:
-    """ks_2samp searches only the probe blocks that can hold the supremum;
-    its float must equal the full search's, whatever the sizes and ties."""
+    """ks_2samp searches only the probe blocks, and then the sub-blocks, that
+    can hold the supremum; its float must equal the full search's, whatever
+    the sizes and ties."""
 
-    @pytest.mark.parametrize("n1", [_S - 1, _S, _S + 1, 2 * _S, 7 * _S + 1])
+    @pytest.mark.parametrize("n1", [_T - 1, _T, _T + 1, 5 * _T + 1, 37 * _T + 1,
+                                    _S - 1, _S, _S + 1, 2 * _S, 3 * _S - 1, 3 * _S + 1,
+                                    7 * _S + 1])
     @pytest.mark.parametrize("n2", [1, 2, _S - 1, _S + 1, 3 * _S + 5, 4000])
     @pytest.mark.parametrize("draw", ["continuous", "small-integers", "0-1", "shifted"])
     def test_sizes_around_the_probe_stride(self, n1, n2, draw):
@@ -291,6 +300,21 @@ class TestKsBoundedSearch:
                             np.full(2 * _S - 1, n1 + 1.0)])
         d = ks_2samp(a, b)
         assert d == _full_search_ks(a, b) == _S / n1
+
+    def test_supremum_at_the_last_point_before_a_sub_probe(self):
+        # a = 0..2S: no b lies below a[2T - 1] and 4T points of b lie just
+        # above it, so the largest term is 2T/(2S + 1) at k = 2T - 1, just
+        # before the sub-probe at 2T.  Past it b holds two copies of each
+        # point of a, but its top 4T - 1 lie above a[2S]: that puts the term
+        # at the last probe, the best of every probe and sub-probe, between
+        # the supremum and a sub-block bound one index short
+        n1 = 2 * _S + 1
+        a = np.arange(n1, dtype=float)
+        b = np.concatenate([np.full(4 * _T, 2 * _T - 0.5), np.repeat(a[2 * _T:], 2)])
+        b[-(4 * _T - 1):] = n1 + 1.0
+        assert b.size == 2 * n1
+        d = ks_2samp(a, b)
+        assert d == _full_search_ks(a, b) == 2 * _T / n1
 
     @pytest.mark.parametrize("values", [2, 5, 40])
     def test_heavy_ties_at_1e5(self, values):
