@@ -140,19 +140,16 @@ def h_star_vector(w: np.ndarray, n: int) -> np.ndarray:
     if not isinstance(n, (int, np.integer)) or n < 1:  # before a table is built for n
         raise ValueError(f"sample size must be an integer >= 1, got {n!r}")
     w = np.asarray(w, dtype=float)
-    if w.size and not (w.min() > 0 and w.max() < math.inf):  # False at NaN
-        raise ValueError(f"w must be finite and positive, "
-                         f"got {float(w[~((w > 0) & (w < math.inf))][0])}")
+    valid = (w > 0) & (w < math.inf)  # False at NaN
+    if not valid.all():
+        raise ValueError(f"w must be finite and positive, got {float(w[~valid][0])}")
     out = np.log(w.ravel())
-    if out.size and not (out.min() >= _LOGW_LO and out.max() <= _LOGW_HI):
-        inside = (out >= _LOGW_LO) & (out <= _LOGW_HI)
-        h = _spline_at(out[inside], n)
-        out[inside] = np.exp(np.negative(h, out=h), out=h)
-        for i in np.flatnonzero(~inside):
-            out[i] = 1.0 / cond_moment(1, float(w.flat[i]), n)
-        return out.reshape(w.shape)
-    h = _spline_at(out, n)  # spends out
-    return np.exp(np.negative(h, out=h), out=h).reshape(w.shape)
+    inside = (out >= _LOGW_LO) & (out <= _LOGW_HI)
+    h = _spline_at(out if inside.all() else out[inside], n)  # spends out only if all inside
+    out[inside] = np.exp(np.negative(h, out=h), out=h)
+    for i in np.flatnonzero(~inside):
+        out[i] = 1.0 / cond_moment(1, float(w.flat[i]), n)
+    return out.reshape(w.shape)
 
 
 def nile_equivariant_star(summary: SufficientSummary) -> float:
@@ -169,12 +166,8 @@ def normalcv_mle_from_sums(sum_x, sum_x2, n: int, c: float):
     sum_x2 = np.asarray(sum_x2, dtype=float)
     if np.any(sum_x2 <= 0):
         raise InputError("all-zero sample: MLE undefined")
-    # (-sum_x + sqrt(sum_x sum_x + 4 n c c sum_x2)) / (2 n c c), in place
-    root = np.multiply(sum_x, sum_x, out=np.empty(np.broadcast(sum_x, sum_x2).shape))
-    root += 4.0 * n * c * c * sum_x2
-    np.sqrt(root, out=root)
-    root -= sum_x
-    root /= 2.0 * n * c * c
+    disc = np.sqrt(sum_x * sum_x + 4.0 * n * c * c * sum_x2)
+    root = (-sum_x + disc) / (2.0 * n * c * c)
     return float(root) if root.ndim == 0 else root
 
 

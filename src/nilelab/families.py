@@ -205,55 +205,23 @@ _SCALAR = {"xbar": lambda x: x.mean(axis=1), "x1": lambda x: x[:, 0],
 
 def _direct_nile(theta, c, rng, size, n):
     # the mean of n Exp(rate t) observations is Gamma(n, scale 1 / (n t))
-    xbar = rng.standard_gamma(n, size)
-    xbar /= n * theta
-    ybar = rng.standard_gamma(n, size)
-    ybar *= theta
-    ybar /= n
-    return {"xbar": xbar, "ybar": ybar}
+    return {"xbar": rng.standard_gamma(n, size) / (n * theta),
+            "ybar": rng.standard_gamma(n, size) * theta / n}
 
 
 def _direct_normal_cv(theta, c, rng, size, n):
     """xbar ~ N(theta, (c theta)^2 / n) and, independent of it (Cochran),
     (n - 1) s^2 / (c theta)^2 ~ chi2(n - 1); the sums follow from the two.
     A replicate is degenerate where s is below the spacing of the floats at
-    xbar: there the n observations would round to one value.
-
-    Each array is formed in place, the same floats as the expression in its
-    comment; ``scratch`` is the one temporary."""
+    xbar: there the n observations would round to one value."""
     sd = c * theta
-    xbar = rng.standard_normal(size)  # theta + (sd / sqrt(n)) z
-    xbar *= sd / math.sqrt(n)
-    xbar += theta
-    sum_x = np.multiply(xbar, n)  # n xbar
-    sum_x2 = np.multiply(sum_x, xbar)  # n xbar xbar
-    out = {"xbar": xbar, "sum_x": sum_x, "sum_x2": sum_x2}
+    xbar = theta + (sd / math.sqrt(n)) * rng.standard_normal(size)
+    out = {"xbar": xbar, "sum_x": n * xbar, "sum_x2": n * xbar * xbar}
     if n >= 2:
-        s = rng.chisquare(n - 1, size)  # sd sqrt(chi2 / (n - 1))
-        s /= n - 1
-        np.sqrt(s, out=s)
-        s *= sd
-        scratch = np.multiply(s, n - 1)
-        scratch *= s
-        sum_x2 += scratch  # (n - 1) s s + n xbar xbar
-        out.update(s=s, degenerate=_below_spacing(s, xbar, scratch))
+        s = sd * np.sqrt(rng.chisquare(n - 1, size) / (n - 1))
+        out.update(s=s, sum_x2=(n - 1) * s * s + out["sum_x2"],
+                   degenerate=s <= np.spacing(np.abs(xbar)))
     return out
-
-
-def _below_spacing(s, xbar, scratch):
-    """``s <= np.spacing(np.abs(xbar))``, elementwise; ``scratch`` (of xbar's
-    shape) is spent.  Wherever s is at most that spacing it is also at most
-    max(|xbar| 2^-52, 2^-1074), or inf where |xbar| >= 2^1023 (numpy's spacing
-    of the largest float is inf), so ``np.spacing`` runs only on the
-    replicates that pass this screen."""
-    np.abs(xbar, out=scratch)
-    scratch *= 2.0  # overflows across the top binade
-    scratch *= 2.0 ** -53
-    np.maximum(scratch, 2.0 ** -1074, out=scratch)
-    below = np.less_equal(s, scratch)
-    screened = np.flatnonzero(below)
-    below[screened] = s[screened] <= np.spacing(np.abs(xbar[screened]))
-    return below
 
 
 def _direct_uniform(theta, c, rng, size, n):

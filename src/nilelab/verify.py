@@ -166,20 +166,7 @@ def _normal_cv_ratio(sim, theta, n, c):
 
 def _khan_linear(sim, theta, n, c):
     a, b = khan_coefficients(n, c)
-    out = np.multiply(sim["xbar"], a)
-    out += np.multiply(sim["s"], b)  # a xbar + b s
-    return out
-
-
-def _nile_mle(sim, theta, n, c):
-    out = np.divide(sim["ybar"], sim["xbar"])
-    return np.sqrt(out, out=out)
-
-
-def _nile_star(sim, theta, n, c):
-    out = h_star_vector(sim["xbar"] * sim["ybar"], n)
-    out *= sim["ybar"]  # ybar h*(w)
-    return out
+    return a * sim["xbar"] + b * sim["s"]
 
 
 def _score(sim, theta, n, c):
@@ -201,9 +188,10 @@ STATISTICS = {
     "uniform_range": Statistic(lambda sim, t, n, c: sim["hi"] - sim["lo"], _LH, _UNIFORM),
     "sample_mean": Statistic(lambda sim, t, n, c: sim["xbar"], ("xbar",), _SCALAR | _NILE),
     "sample_sd": Statistic(lambda sim, t, n, c: sim["s"], ("s",), _CV, min_n=2),
-    "nile_mle": Statistic(_nile_mle, _XY, _NILE),
+    "nile_mle": Statistic(lambda sim, t, n, c: np.sqrt(sim["ybar"] / sim["xbar"]), _XY, _NILE),
     "nile_star": Statistic(  # E(g^2 | W = w) = theta^2 E_1(ybar^2 | w) / E_1(ybar | w)^2
-        _nile_star, _XY, _NILE, cond_m2=lambda w, t, n: t ** 2 * cond_second_moment_ratio(w, n)),
+        lambda sim, t, n, c: sim["ybar"] * h_star_vector(sim["xbar"] * sim["ybar"], n),
+        _XY, _NILE, cond_m2=lambda w, t, n: t ** 2 * cond_second_moment_ratio(w, n)),
     "nile_inverse_xbar": Statistic(lambda sim, t, n, c: 1.0 / sim["xbar"], ("xbar",), _NILE),
     "khan_linear": Statistic(_khan_linear, _MS, _CV, min_n=2),
     "normalcv_mle": Statistic(
@@ -248,9 +236,9 @@ def _chunk_sizes(total: int, chunks: int) -> list[int]:
     return [s for s in sizes if s > 0]
 
 
-#: Longest array whose deviations ``_moments`` forms in one piece (256 KiB of
+#: Longest array whose deviations ``_moments`` forms in one piece (512 KiB of
 #: float64); a longer one is split where numpy's pairwise sum splits it.
-_BLOCK = 32768
+_BLOCK = 65536
 
 
 def _moments(x: np.ndarray, order: int = 4) -> np.ndarray:
@@ -491,9 +479,10 @@ def ks_2samp(a: np.ndarray, b: np.ndarray) -> float:
 #: every 16th point of a block that can hold the supremum.
 _KS_STRIDE, _KS_SUBSTRIDE = 256, 16
 
-#: Sub-blocks ``_ks_one_sided`` searches at once: about _BLOCK / 4 points, so
-#: each of the batch's index and term arrays holds about 60 KiB.
-_KS_BATCH = _BLOCK // (4 * _KS_SUBSTRIDE)
+#: Blocks ``_ks_one_sided`` probes again and searches at once: at most about
+#: _BLOCK / 4 points, so the batch's five index and term arrays hold at most
+#: about 640 KiB.
+_KS_BATCH = _BLOCK // (4 * _KS_STRIDE)
 
 
 def _ks_one_sided(a: np.ndarray, b: np.ndarray) -> float:
@@ -510,15 +499,17 @@ def _ks_one_sided(a: np.ndarray, b: np.ndarray) -> float:
 
     # the first row spans the sample and each second-level row one block;
     # clipping a row's overhang repeats the last point, whose term is exact
-    best, starts = probe(np.minimum(np.arange(0, n1 - 1 + _KS_STRIDE, _KS_STRIDE), n1 - 1),
+    best, blocks = probe(np.minimum(np.arange(0, n1 - 1 + _KS_STRIDE, _KS_STRIDE), n1 - 1),
                          -math.inf)
-    best, starts = probe(np.minimum(starts[:, None] + np.arange(0, _KS_STRIDE + 1, _KS_SUBSTRIDE),
-                                    n1 - 1), best)
-    # a batch of sub-blocks at a time, so the temporaries do not grow with the
-    # number of sub-blocks that reach the bound
-    for i in range(0, starts.size, _KS_BATCH):
-        k = np.minimum(starts[i:i + _KS_BATCH, None] + np.arange(1, _KS_SUBSTRIDE), n1 - 1)
-        best = max(best, ((k + 1) / n1 - np.searchsorted(b, a[k], side="right") / n2).max())
+    # a batch of blocks at a time, so the temporaries do not grow with the
+    # number of blocks that reach the bound
+    for i in range(0, blocks.size, _KS_BATCH):
+        best, starts = probe(np.minimum(blocks[i:i + _KS_BATCH, None]
+                                        + np.arange(0, _KS_STRIDE + 1, _KS_SUBSTRIDE), n1 - 1),
+                             best)
+        k = np.minimum(starts[:, None] + np.arange(1, _KS_SUBSTRIDE), n1 - 1)
+        best = max(best, ((k + 1) / n1 - np.searchsorted(b, a[k], side="right") / n2)
+                   .max(initial=-math.inf))
     return float(best)
 
 

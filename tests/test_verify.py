@@ -316,6 +316,26 @@ class TestKsBoundedSearch:
         d = ks_2samp(a, b)
         assert d == _full_search_ks(a, b) == 2 * _T / n1
 
+    def test_blocks_are_probed_and_searched_in_batches(self, monkeypatch):
+        # a == b but for three points of b raised by a half near the end: every
+        # block's bound (255/n) reaches the supremum (about 1/n), so all 3 * _KS_BATCH
+        # blocks are probed again and searched, in batches that carry the best
+        # term across and whose lookups never exceed a batch's points
+        n1 = 3 * verify._KS_BATCH * _S + 1
+        a = np.arange(n1, dtype=float)
+        b = a.copy()
+        b[n1 - 100:n1 - 97] += 0.5
+        sizes = []
+        searchsorted = np.searchsorted
+        monkeypatch.setattr(np, "searchsorted",
+                            lambda b, v, side: sizes.append(v.size) or searchsorted(b, v, side=side))
+        d = verify._ks_one_sided(a, b)
+        monkeypatch.undo()
+        assert d == _full_search_ks(a, b) > 0
+        assert sizes[0] == n1 // _S + 1
+        assert len(sizes) == 1 + 2 * 3
+        assert max(sizes[1:]) <= verify._KS_BATCH * _S
+
     @pytest.mark.parametrize("values", [2, 5, 40])
     def test_heavy_ties_at_1e5(self, values):
         rng = np.random.default_rng(values)
