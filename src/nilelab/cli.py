@@ -23,7 +23,7 @@ import io
 import json
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -65,12 +65,9 @@ class ExperimentConfig:
     def validate(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"field 'kind': unknown experiment kind {self.kind!r}")
-        if self.replicates < 1:
-            raise ConfigError(f"field 'replicates': must be >= 1, got {self.replicates}")
-        if self.n < 1:
-            raise ConfigError(f"field 'n': must be >= 1, got {self.n}")
-        if self.workers < 1:
-            raise ConfigError(f"field 'workers': must be >= 1, got {self.workers}")
+        for key in ("replicates", "n", "workers"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"field {key!r}: must be >= 1, got {getattr(self, key)}")
         if not 1 <= self.power <= 6:
             raise ConfigError(f"field 'power': must be in [1, 6], got {self.power}")
         if self.family and self.family not in verify.FAMILY_TOKENS:
@@ -119,17 +116,16 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
+def _read_values(cfg: ExperimentConfig) -> dict:
+    """The keys ``cfg``'s kind reads, in field order, each with its value as config text."""
+    return {f.name: ",".join(map(_fmt, v)) if isinstance(v := getattr(cfg, f.name), tuple)
+            else _fmt(v) for f in fields(ExperimentConfig) if f.name in EXPERIMENTS[cfg.kind].keys}
+
+
 def format_config(cfg: ExperimentConfig) -> str:
     """Inverse of ``parse_config``: the keys the kind reads; parse(format(cfg)) == cfg
     when every other field has its default."""
-    lines = []
-    for f in fields(ExperimentConfig):
-        if f.name not in EXPERIMENTS[cfg.kind].keys:
-            continue
-        v = getattr(cfg, f.name)
-        v = ",".join(map(_fmt, v)) if isinstance(v, tuple) else _fmt(v)
-        lines.append(f"{f.name} = {v}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {value}\n" for key, value in _read_values(cfg).items())
 
 
 def _mc_config(cfg: ExperimentConfig, grid, n=None) -> verify.MCConfig:
@@ -138,137 +134,137 @@ def _mc_config(cfg: ExperimentConfig, grid, n=None) -> verify.MCConfig:
     return verify.MCConfig(cfg.seed, cfg.replicates, tuple(grid), n or cfg.n, cfg.workers)
 
 
-def _statistic(field: str, name: str, family: str, n: int) -> str:
-    """Check statistic ``name`` from config field ``field`` against the registry."""
+def _statistic(field: str, name: str, cfg: ExperimentConfig, n: int = 0) -> str:
+    """Check statistic ``name`` from config field ``field`` on ``cfg``'s family, at ``n`` or its."""
     try:
-        verify.resolve_statistic(name, family, n)
+        verify.resolve_statistic(name, cfg.family, n or cfg.n)
     except ValueError as exc:
         raise ConfigError(f"field {field!r}: {exc}") from None
     return name
 
 
 def _ancillarity(cfg):
-    family = cfg.family or "nile"
     # a family with no declared ancillary fails the check on the alias
-    stat = _statistic("statistic", cfg.statistic or FAMILIES[family].ancillary or "ancillary",
-                      family, cfg.n)
-    grid = cfg.grid or (0.5, 1.0, 2.0, 4.0)
-    if len(grid) < 2:
+    stat = _statistic("statistic", cfg.statistic or FAMILIES[cfg.family].ancillary or "ancillary",
+                      cfg)
+    if len(cfg.grid) < 2:
         raise ConfigError("field 'grid': ancillarity needs at least 2 grid points")
-    return verify.verify_ancillarity(family, stat, _mc_config(cfg, grid), c=cfg.c)
+    return verify.verify_ancillarity(cfg.family, stat, _mc_config(cfg, cfg.grid), c=cfg.c)
 
 
 def _first_order(cfg):
-    family = cfg.family or "bivariate_gaussian_corr"
-    known = [k for k, s in verify.STATISTICS.items() if family in (s.target or ())]
+    known = [k for k, s in verify.STATISTICS.items() if cfg.family in (s.target or ())]
     if not (cfg.statistic or known):
         raise ConfigError(f"field 'statistic': no statistic has a known mean on family "
-                          f"{family!r}; name one")
-    stat = _statistic("statistic", cfg.statistic or known[0], family, 1)
-    grid = cfg.grid or FAMILIES[family].first_order_grid
-    return verify.verify_first_order(family, stat, _mc_config(cfg, grid, n=1), c=cfg.c)
+                          f"{cfg.family!r}; name one")
+    stat = _statistic("statistic", cfg.statistic or known[0], cfg, n=1)
+    grid = cfg.grid or FAMILIES[cfg.family].first_order_grid
+    return verify.verify_first_order(cfg.family, stat, _mc_config(cfg, grid, n=1), c=cfg.c)
 
 
 def _independence(cfg):
-    family = cfg.family or "normal_cv"
-    stat_a = _statistic("stat_a", cfg.stat_a or "sample_mean", family, cfg.n)
-    stat_b = _statistic("stat_b", cfg.stat_b or "sample_sd", family, cfg.n)
-    return verify.verify_independence(stat_a, stat_b, family,
-                                      _mc_config(cfg, cfg.grid or (1.0,)), c=cfg.c)
+    return verify.verify_independence(_statistic("stat_a", cfg.stat_a, cfg),
+                                      _statistic("stat_b", cfg.stat_b, cfg), cfg.family,
+                                      _mc_config(cfg, cfg.grid), c=cfg.c)
 
 
 def _rao(cfg):
-    family = cfg.family or "nile"
-    contrast = FAMILIES[family].contrast  # exact zero mean: no centring run or transform
-    _statistic("n" if contrast else "family", contrast or "ancillary", family, cfg.n)
+    contrast = FAMILIES[cfg.family].contrast  # exact zero mean: no centring run or transform
+    _statistic("n" if contrast else "family", contrast or "ancillary", cfg)
     if cfg.transform not in verify.TRANSFORMS:
         raise ConfigError(f"field 'transform': unknown transform {cfg.transform!r}")
-    estimator = _statistic("estimator", cfg.estimator or "nile_mle", family, cfg.n)
-    config = _mc_config(cfg, cfg.grid or (0.5, 1.0, 2.0))
-    u = verify.zero_mean_from_ancillary(cfg.transform, family, config, c=cfg.c)
-    return verify.rao_zero_cov(estimator, u, family, config, power=cfg.power, c=cfg.c)
+    estimator = _statistic("estimator", cfg.estimator, cfg)
+    config = _mc_config(cfg, cfg.grid)
+    u = verify.zero_mean_from_ancillary(cfg.transform, cfg.family, config, c=cfg.c)
+    return verify.rao_zero_cov(estimator, u, cfg.family, config, power=cfg.power, c=cfg.c)
 
 
 def _cond_moment(cfg):
-    family = cfg.family or "nile"
-    estimator = _statistic("estimator", cfg.estimator or "nile_star", family, cfg.n)
-    w_stat = _statistic("statistic", cfg.statistic or FAMILIES[family].contrast or "ancillary",
-                        family, cfg.n)
-    return verify.cond_moment_dependence(estimator, family, _mc_config(cfg, (cfg.theta,)),
+    estimator = _statistic("estimator", cfg.estimator, cfg)
+    w_stat = _statistic("statistic", cfg.statistic or FAMILIES[cfg.family].contrast or "ancillary",
+                        cfg)
+    return verify.cond_moment_dependence(estimator, cfg.family, _mc_config(cfg, (cfg.theta,)),
                                          w_stat=w_stat, c=cfg.c)
 
 
 def _variance_table(cfg):
-    family = cfg.family or "nile"
-    estimators = [_statistic("estimators", name, family, cfg.n)
-                  for name in cfg.estimators or ("nile_mle", "nile_star")]
-    return verify.variance_table(estimators, family, _mc_config(cfg, cfg.grid or (1.0,)), c=cfg.c)
+    estimators = [_statistic("estimators", name, cfg) for name in cfg.estimators]
+    return verify.variance_table(estimators, cfg.family, _mc_config(cfg, cfg.grid), c=cfg.c)
 
 
-#: One row per experiment kind: its claim, its default config as ``nilelab
-#: list`` shows it, its runner, and the config keys it reads (every kind reads
-#: ``kind``, ``name`` and ``out``; only a kind that draws replicates reads
-#: ``seed`` and ``workers``).
-Experiment = namedtuple("Experiment", "claim default run keys")
+#: One row per experiment kind: its claim, its own defaults (config key ->
+#: value, filled into a config that leaves the key empty; the other keys take
+#: ``ExperimentConfig``'s), its runner, and the config keys it reads: every
+#: kind reads ``kind``, ``name`` and ``out``, and a kind that reads
+#: ``replicates`` also reads ``seed`` and ``workers``.
+Experiment = namedtuple("Experiment", "claim defaults run keys")
 
 
-def _experiment(claim, default, run, keys=""):
-    return Experiment(claim, default, run, ("kind", "name", "out", *keys.split()))
+def _experiment(claim, defaults, run, keys=""):
+    keys = ("kind", "name", "out", *keys.split())
+    if "replicates" in keys:
+        keys += ("seed", "workers")
+    return Experiment(claim, defaults, run, keys)
 
 
 EXPERIMENTS = {
     "ancillarity": _experiment(
         "sampling distribution of the designated ancillary statistic "
         "is invariant across the parameter grid (pairwise KS test)",
-        "family = nile, grid = 0.5,1,2,4, n = 5, replicates = 100000", _ancillarity,
-        "family statistic grid n c replicates seed workers"),
+        {"family": "nile", "grid": (0.5, 1.0, 2.0, 4.0)}, _ancillarity,
+        "family statistic grid n c replicates"),
     "first-order": _experiment(
         "mean of a first-order ancillary statistic is constant in the "
         "parameter (vs its closed-form value on the family)",
-        "family = bivariate_gaussian_corr, grid = -0.9,0,0.9, replicates = 100000",
-        _first_order, "family statistic grid c replicates seed workers"),
+        {"family": "bivariate_gaussian_corr"}, _first_order, "family statistic grid c replicates"),
     "independence": _experiment(
         "two statistics are independent at each grid point "
         "(chi-square on a decile contingency table)",
-        "family = normal_cv, stat_a = sample_mean, stat_b = sample_sd, n = 5", _independence,
-        "family stat_a stat_b grid n c replicates seed workers"),
+        {"family": "normal_cv", "stat_a": "sample_mean", "stat_b": "sample_sd", "grid": (1.0,)},
+        _independence, "family stat_a stat_b grid n c replicates"),
     "rao": _experiment(
         "a UMVUE must have zero covariance with every zero-mean statistic; "
         "estimates E(g^k U) for U built from the ancillary",
-        "family = nile, estimator = nile_mle, transform = log, grid = 0.5,1,2, n = 5", _rao,
-        "family estimator transform grid n c power replicates seed workers"),
+        {"family": "nile", "estimator": "nile_mle", "grid": (0.5, 1.0, 2.0)}, _rao,
+        "family estimator transform grid n c power replicates"),
     "cond-moment": _experiment(
         "a UMVUE's conditional second moment given the ancillary must "
         "be constant; bins the ancillary and compares bin means",
-        "family = nile, estimator = nile_star, theta = 1, n = 5", _cond_moment,
-        "family estimator statistic theta n c replicates seed workers"),
+        {"family": "nile", "estimator": "nile_star"}, _cond_moment,
+        "family estimator statistic theta n c replicates"),
     "fisher-info": _experiment(
         "variance of the score equals (2 + 1/c^2)/theta^2, exceeding "
         "the location-only information 1/(c^2 theta^2)",
-        "theta = 1, c = 1, replicates = 100000",
-        lambda cfg: verify.fisher_info(_mc_config(cfg, (cfg.theta,), n=1), cfg.c),
-        "theta c replicates seed workers"),
+        {}, lambda cfg: verify.fisher_info(_mc_config(cfg, (cfg.theta,), n=1), cfg.c),
+        "theta c replicates"),
     "variance-table": _experiment(
         "Monte Carlo bias/variance/MSE comparison across estimators",
-        "family = nile, estimators = nile_mle,nile_star, grid = 1, n = 5", _variance_table,
-        "family estimators grid n c replicates seed workers"),
+        {"family": "nile", "estimators": ("nile_mle", "nile_star"), "grid": (1.0,)},
+        _variance_table, "family estimators grid n c replicates"),
     "quadrature-selftest": _experiment(
         "the adaptive-quadrature and Bessel-representation evaluations of the "
         "conditional-moment integrals agree to 1e-8",
-        "no configuration", lambda cfg: selftest.quadrature_selftest()),
+        {}, lambda cfg: selftest.quadrature_selftest()),
     "constraints": _experiment(
         "natural-parameter constraint polynomials vanish along each "
         "family's parameter curve (|residual| < 1e-12)",
-        "no configuration", lambda cfg: selftest.constraint_selftest()),
+        {}, lambda cfg: selftest.constraint_selftest()),
 }
 
 EXPERIMENT_KINDS = tuple(EXPERIMENTS)
 
 
+def with_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
+    """``cfg`` with each key its kind's row defaults and ``cfg`` leaves empty filled in."""
+    return replace(cfg, **{key: value for key, value in EXPERIMENTS[cfg.kind].defaults.items()
+                           if not getattr(cfg, key)})
+
+
 def run_experiment(cfg: ExperimentConfig) -> verify.VerificationReport:
-    """Run a validated config (ConfigError if it is bad, VerificationError if untestable)."""
+    """Run a validated config (ConfigError if it is bad, VerificationError if untestable);
+    the keys it leaves empty take its kind's row defaults."""
     try:
-        return EXPERIMENTS[cfg.kind].run(cfg)
+        return EXPERIMENTS[cfg.kind].run(with_defaults(cfg))
     except DomainError as exc:  # a grid point or theta outside the family's domain
         raise ConfigError(str(exc)) from None
     except QuadratureFailure as exc:  # an integral the adaptive quadrature cannot resolve
@@ -312,11 +308,14 @@ def _exit_code(report: verify.VerificationReport) -> int:
 
 
 def list_experiments() -> str:
+    """Each kind's claim and the keys it reads, as a config of only ``kind`` sets them."""
     lines = ["Available experiment kinds:", ""]
     for kind, row in EXPERIMENTS.items():
-        lines.append(f"{kind}")
-        lines.append(f"    claim:   {row.claim}")
-        lines.append(f"    default: {row.default}")
+        shown = [f"{key} = {value}" for key, value in
+                 _read_values(with_defaults(ExperimentConfig(kind))).items()
+                 if value and key not in ("kind", "name", "out")]
+        lines += [kind, f"    claim:   {row.claim}",
+                  f"    default: {', '.join(shown) or 'no configuration'}"]
     return "\n".join(lines) + "\n"
 
 
@@ -343,12 +342,8 @@ def cmd_run(args) -> int:
             print(f"error: cannot read config {path}: {exc}", file=sys.stderr)
             return EXIT_ERROR
         cfg = parse_config(text)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.out = args.out
-        if args.workers is not None:
-            cfg.workers = args.workers
+        cfg = replace(cfg, **{key: getattr(args, key) for key in ("seed", "out", "workers")
+                              if getattr(args, key) is not None})
         cfg.validate()
         name = cfg.name or path.stem
         report = run_experiment(cfg)

@@ -146,14 +146,14 @@ Family = namedtuple(
 Direct = namedtuple("Direct", "names draw")
 
 #: Reduced names defined only for two observations or more.
-_TWO_OR_MORE = {"diff12", "s", "degenerate"}
+TWO_OR_MORE = {"diff12", "s", "degenerate"}
 
 
 def reduce(family: Family, draws, n: int, names) -> dict:
     """The reduced arrays ``names`` of ``draws`` (the row's ``draw`` at shape
     (replicates, n)); a name the row cannot give at this ``n`` is left out."""
     return {k: family.reduce[k](draws) for k in names
-            if k in family.reduce and (n >= 2 or k not in _TWO_OR_MORE)}
+            if k in family.reduce and (n >= 2 or k not in TWO_OR_MORE)}
 
 
 def _domain(token, rule, inside, name="theta"):

@@ -28,14 +28,14 @@ import functools
 import math
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.special import chdtrc, ndtr  # chi-square survival function, normal CDF
 
 from . import __version__ as VERSION
 from .estimators import h_star_vector, khan_coefficients, normalcv_mle_from_sums
-from .families import FAMILIES, DomainError, reduce
+from .families import FAMILIES, TWO_OR_MORE, DomainError, reduce
 from .quadrature import cond_second_moment_ratio
 
 #: Fixed replicate partition; must not depend on the worker count.
@@ -68,20 +68,20 @@ class MCConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.master_seed < 0:  # numpy's SeedSequence error would name no field
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if self.n < 1:
-            raise ValueError(f"sample size must be >= 1, got {self.n}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        # each integer field by name, where numpy's errors would name none
+        for name, label, least in (("master_seed", "master_seed", 0),
+                                   ("replicates", "replicates", 1),
+                                   ("n", "sample size", 1), ("workers", "workers", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{label} must be >= {least}, got {value}")
+            object.__setattr__(self, name, int(value))
         object.__setattr__(self, "theta_grid", tuple(float(t) for t in self.theta_grid))
 
     def as_dict(self) -> dict:
-        return {"master_seed": self.master_seed, "replicates": self.replicates,
-                "theta_grid": list(self.theta_grid), "n": self.n,
-                "workers": self.workers}
+        return {**asdict(self), "theta_grid": list(self.theta_grid)}
 
 
 @dataclass
@@ -150,12 +150,12 @@ FAMILY_TOKENS = tuple(FAMILIES)
 
 #: A named statistic: ``compute(sim, theta, n, c)`` over the reduced arrays
 #: ``reads`` (``families.reduce`` names) for each token in ``families``,
-#: defined for n >= ``min_n``; ``target`` maps a family token to a function of
-#: c, the statistic's known parameter-free mean on that family, which the
-#: first-order check compares against; ``cond_m2(w, theta, n)`` is its
-#: closed-form E(g^2 | the family's ancillary = w).
-Statistic = namedtuple("Statistic", "compute reads families min_n target cond_m2",
-                       defaults=(1, None, None))
+#: defined for every n at which ``reduce`` gives all it reads; ``target`` maps
+#: a family token to a function of c, the statistic's known parameter-free
+#: mean on that family, which the first-order check compares against;
+#: ``cond_m2(w, theta, n)`` is its closed-form E(g^2 | the family's ancillary = w).
+Statistic = namedtuple("Statistic", "compute reads families target cond_m2",
+                       defaults=(None, None))
 
 
 def _normal_cv_ratio(sim, theta, n, c):
@@ -184,16 +184,16 @@ _XY, _MS, _LH = ("xbar", "ybar"), ("xbar", "s"), ("lo", "hi")
 STATISTICS = {
     "nile_product": Statistic(lambda sim, t, n, c: sim["xbar"] * sim["ybar"], _XY, _NILE,
                               target={"nile": lambda c: 1.0}),  # E xbar E ybar = 1
-    "normal_cv_ratio": Statistic(_normal_cv_ratio, _MS, _CV, min_n=2),
+    "normal_cv_ratio": Statistic(_normal_cv_ratio, _MS, _CV),
     "uniform_range": Statistic(lambda sim, t, n, c: sim["hi"] - sim["lo"], _LH, _UNIFORM),
     "sample_mean": Statistic(lambda sim, t, n, c: sim["xbar"], ("xbar",), _SCALAR | _NILE),
-    "sample_sd": Statistic(lambda sim, t, n, c: sim["s"], ("s",), _CV, min_n=2),
+    "sample_sd": Statistic(lambda sim, t, n, c: sim["s"], ("s",), _CV),
     "nile_mle": Statistic(lambda sim, t, n, c: np.sqrt(sim["ybar"] / sim["xbar"]), _XY, _NILE),
     "nile_star": Statistic(  # E(g^2 | W = w) = theta^2 E_1(ybar^2 | w) / E_1(ybar | w)^2
         lambda sim, t, n, c: sim["ybar"] * h_star_vector(sim["xbar"] * sim["ybar"], n),
         _XY, _NILE, cond_m2=lambda w, t, n: t ** 2 * cond_second_moment_ratio(w, n)),
     "nile_inverse_xbar": Statistic(lambda sim, t, n, c: 1.0 / sim["xbar"], ("xbar",), _NILE),
-    "khan_linear": Statistic(_khan_linear, _MS, _CV, min_n=2),
+    "khan_linear": Statistic(_khan_linear, _MS, _CV),
     "normalcv_mle": Statistic(
         lambda sim, t, n, c: normalcv_mle_from_sums(sim["sum_x"], sim["sum_x2"], n, c),
         ("sum_x", "sum_x2"), _CV),
@@ -208,7 +208,7 @@ STATISTICS = {
                                     ("xbar",), _SCALAR | _NILE,
                                     target={"normal_cv": lambda c: float(ndtr(1.0 / c))}),
     "xy_product": Statistic(lambda sim, t, n, c: sim["x"] * sim["y"], ("x", "y"), _CORR),
-    "diff12": Statistic(lambda sim, t, n, c: sim["diff12"], ("diff12",), _SCALAR, min_n=2),
+    "diff12": Statistic(lambda sim, t, n, c: sim["diff12"], ("diff12",), _SCALAR),
     "score": Statistic(_score, ("x1",), _CV),
 }
 
@@ -225,8 +225,9 @@ def resolve_statistic(name: str, token: str, n: int) -> Statistic:
         raise ValueError(f"unknown statistic {name!r}")
     if token not in stat.families:
         raise ValueError(f"statistic {name!r} is not defined for family {token!r}")
-    if n < stat.min_n:
-        raise ValueError(f"statistic {name!r} needs n >= {stat.min_n}, got n = {n}")
+    floor = 2 if TWO_OR_MORE.intersection(stat.reads) else 1
+    if n < floor:
+        raise ValueError(f"statistic {name!r} needs n >= {floor}, got n = {n}")
     return stat
 
 
@@ -781,6 +782,8 @@ def zero_mean_from_ancillary(transform: str, token: str, config: MCConfig,
     which it does not depend on; its SE is carried, so the covariance test
     can widen its error band.  Streams: keeps the moments, not the replicates.
     """
+    if transform not in TRANSFORMS:
+        raise ValueError(f"unknown transform {transform!r}")
     contrast = FAMILIES[token].contrast
     if contrast:
         return ZeroMeanSpec("first-contrast", contrast, identity, center=0.0, center_se=0.0)
@@ -848,16 +851,17 @@ def cond_moment_dependence(g_stat: str, token: str, config: MCConfig,
 
     Verdict ``fail`` (dependence detected) when the spread between the
     extreme bin means exceeds 4x their combined SE; ``pass`` means no
-    dependence was detected.  When ``w_stat`` is the family's ancillary and
-    g's row has ``cond_m2`` (``nile_star``), each bin also carries that
+    dependence was detected.  When ``w_stat``'s row is the family's ancillary
+    row and g's row has ``cond_m2`` (``nile_star``), each bin also carries that
     prediction at the bin center.  A bin of fewer than two replicates raises
     VerificationError.
     """
     (theta,) = config.theta_grid  # ValueError unless the run has one grid point
     drawn, degenerate = run_grid(token, config.theta_grid, config.n, c, config,
                                  [g_stat, w_stat])
+    binned = resolve_statistic(w_stat, token, config.n)
     predict = (resolve_statistic(g_stat, token, config.n).cond_m2
-               if w_stat in ("ancillary", FAMILIES[token].ancillary) else None)
+               if binned is STATISTICS.get(FAMILIES[token].ancillary) else None)
     sim = drawn[0]
     w = sim[w_stat]
     with np.errstate(over="ignore"):  # an overflow gives the nan spread reported below

@@ -3,8 +3,9 @@ import pytest
 
 from nilelab.canonical import (NotExponentialError, constraint_residual,
                                natural_params)
-from nilelab.families import (InputError, Kind, bivariate_gaussian, nile,
+from nilelab.families import (FAMILIES, InputError, Kind, bivariate_gaussian, nile,
                               normal_cv, uniform_location)
+from nilelab.selftest import constraint_selftest
 
 
 class TestNaturalParams:
@@ -61,3 +62,20 @@ class TestConstraintResidual:
         m = bivariate_gaussian(0.7)
         np_ = natural_params(m)
         assert np_.residual == constraint_residual(Kind.BIVARIATE_GAUSSIAN_CORR, np_.eta)
+
+
+class TestConstraintSelftest:
+    def test_every_row_passes(self):
+        assert constraint_selftest().verdicts == {"residuals-vanish": "pass",
+                                                  "parameter-map-injective": "pass"}
+
+    def test_a_natural_map_monotone_in_no_coordinate_fails_injectivity(self, monkeypatch):
+        # f = theta + 1/theta falls and then rises over the grid, and
+        # (-f, -1/f) stays on the Nile curve eta1 * eta2 = 1
+        def folded(theta, c):
+            f = theta + 1.0 / theta
+            return -f, -1.0 / f
+
+        monkeypatch.setitem(FAMILIES, "nile", FAMILIES["nile"]._replace(natural=folded))
+        assert constraint_selftest().verdicts == {"residuals-vanish": "pass",
+                                                  "parameter-map-injective": "fail"}

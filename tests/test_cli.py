@@ -14,7 +14,7 @@ import nilelab
 from nilelab import cli, verify
 from nilelab.cli import (EXPERIMENT_KINDS, EXPERIMENTS, ConfigError, ExperimentConfig,
                          format_config, list_experiments, main, parse_config,
-                         run_experiment)
+                         run_experiment, with_defaults)
 
 
 class TestParseConfig:
@@ -85,6 +85,33 @@ class TestListAndSelftest:
     def test_list_experiments_text(self):
         text = list_experiments()
         assert "claim:" in text and "default:" in text
+
+    def test_list_prints_each_rows_defaults(self):
+        text = list_experiments()
+        assert ("independence\n    claim:   two statistics are independent at each grid point "
+                "(chi-square on a decile contingency table)\n    default: family = normal_cv, "
+                "stat_a = sample_mean, stat_b = sample_sd, grid = 1, c = 1, n = 5, "
+                "replicates = 100000, seed = 0, workers = 1\n") in text
+        assert "constraints\n    claim:   natural" in text and text.endswith(
+            "    default: no configuration\n")
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_row_defaults_fill_keys_the_kind_reads_and_leaves_empty(kind):
+    row, blank = EXPERIMENTS[kind], ExperimentConfig(kind)
+    for key, value in row.defaults.items():
+        assert key in row.keys and value and not getattr(blank, key)
+        assert type(value) is type(getattr(blank, key))
+    # a kind that draws replicates reads a seed and a worker count, and no other does
+    assert ("seed" in row.keys) is ("workers" in row.keys) is ("replicates" in row.keys)
+
+
+def test_with_defaults_fills_only_the_empty_keys():
+    cfg = with_defaults(parse_config("kind = variance-table\nfamily = normal_cv\n"
+                                     "estimators = khan_linear\nn = 3\n"))
+    assert (cfg.family, cfg.estimators, cfg.grid, cfg.n) == ("normal_cv", ("khan_linear",),
+                                                             (1.0,), 3)
+    assert with_defaults(ExperimentConfig("constraints")) == ExperimentConfig("constraints")
 
     def test_selftest_exit_zero(self, capsys):
         assert main(["selftest"]) == 0
@@ -442,7 +469,13 @@ def test_out_of_memory_exits_one_with_error_line(tmp_path, capsys, monkeypatch):
 _ENTRY_POINTS = ("verify_ancillarity", "verify_first_order", "verify_independence",
                  "zero_mean_from_ancillary", "rao_zero_cov", "cond_moment_dependence",
                  "fisher_info", "variance_table")
-_MC_KINDS = [kind for kind, row in EXPERIMENTS.items() if row.default != "no configuration"]
+_MC_KINDS = [kind for kind, row in EXPERIMENTS.items() if "replicates" in row.keys]
+
+
+def _listed_default(kind):
+    """The ``default:`` text ``nilelab list`` prints for ``kind``."""
+    lines = list_experiments().splitlines()
+    return lines[lines.index(kind) + 2].removeprefix("    default: ")
 
 
 @pytest.mark.parametrize("kind", _MC_KINDS)
@@ -454,7 +487,7 @@ def test_listed_default_is_what_runs(monkeypatch, kind):
     run_experiment(parse_config(f"kind = {kind}\n"))
     alone = calls[:]
     calls.clear()
-    listed = re.split(r",\s*(?=\w+ = )", EXPERIMENTS[kind].default)
+    listed = re.split(r",\s*(?=\w+ = )", _listed_default(kind))
     run_experiment(parse_config(f"kind = {kind}\n" + "".join(f"{kv}\n" for kv in listed)))
     assert alone and calls == alone
 

@@ -115,6 +115,23 @@ class TestObservationSet:
         with pytest.raises(InputError):
             ObservationSet(points=np.array([1.0, 2.0]), model=nile(1.0))
 
+    @pytest.mark.parametrize("model,points", [(nile(1.0), np.empty((0, 2))),
+                                              (normal_cv(1.0), np.empty(0))])
+    def test_empty_set_rejected(self, model, points):
+        with pytest.raises(InputError, match="observation set must be nonempty"):
+            ObservationSet(points=points, model=model)
+
+    def test_scalar_family_rejects_pairs(self):
+        with pytest.raises(InputError, match=r"scalar family requires points of shape \(n,\)"):
+            ObservationSet(points=np.ones((3, 2)), model=normal_cv(1.0))
+
+    @pytest.mark.parametrize("model,points", [
+        (normal_cv(1.0), [1.0, math.nan]), (uniform_location(0.0), [0.5, math.inf]),
+        (nile(1.0), [(1.0, 2.0), (math.inf, 1.0)])])
+    def test_non_finite_observation_rejected(self, model, points):
+        with pytest.raises(InputError, match="non-finite observation"):
+            ObservationSet(points=np.asarray(points), model=model)
+
 
 #: Models of ``test_histogram_matches_density``; each case is seeded with its
 #: position here, so every run draws the same sample.

@@ -51,6 +51,15 @@ class TestBesselK:
         with pytest.raises(ValueError):
             bessel_k(0, -1.0)
 
+    def test_rejects_an_argument_whose_integrand_underflows(self):
+        assert bessel_k(0, 700.0) > 0.0
+        with pytest.raises(ValueError, match="argument 700.5 too large: integrand underflows"):
+            bessel_k(0, 700.5)
+
+    def test_bessel_path_rejects_a_non_integer_order(self):
+        with pytest.raises(ValueError, match="Bessel path requires integer order"):
+            laplace_integral_bessel(0.5, 1.0, 1.0)
+
 
 class TestGaussKronrod:
     # int_{-1}^{1} x^k dx = 2 / (k + 1) for even k, 0 for odd k
@@ -106,6 +115,11 @@ class TestLaplaceIntegral:
 
 
 class TestCondMoment:
+    @pytest.mark.parametrize("moment", [cond_moment, cond_moment_bessel])
+    def test_rejects_sample_size_zero(self, moment):
+        with pytest.raises(ValueError, match="sample size must be >= 1, got 0"):
+            moment(1, 1.0, 0)
+
     def test_first_moment_anchor(self):
         # sqrt(w) K_1(2n sqrt(w)) / K_0(2n sqrt(w)) at w = n = 1
         assert cond_moment(1, 1.0, 1) == pytest.approx(K1_2 / K0_2, rel=1e-8)

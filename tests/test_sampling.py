@@ -14,7 +14,7 @@ import pytest
 
 from nilelab.families import FAMILIES
 from nilelab.verify import (KS_CRITICAL, N_CHUNKS, STATISTICS, MCConfig, _chunk_sizes,
-                            ks_2samp, run_grid)
+                            ks_2samp, resolve_statistic, run_grid)
 
 #: Replicates per path and the seeds of the two paths (fixed, independent streams).
 N = 40_000
@@ -40,10 +40,18 @@ LAWS = {
 }
 
 
+def _defined(name, token, n):
+    try:
+        resolve_statistic(name, token, n)
+    except ValueError:
+        return False
+    return True
+
+
 def _components(token, n, seed):
     theta, c, labels = LAWS[token]
     labels = {label: (names, fn) for label, (names, fn) in labels.items()
-              if all(STATISTICS[name].min_n <= n for name in names)}
+              if all(_defined(name, token, n) for name in names)}
     names = sorted({name for names, _ in labels.values() for name in names})
     config = MCConfig(master_seed=seed, replicates=N, theta_grid=(theta,), n=n)
     out, degenerate = run_grid(token, (theta,), n, c, config, names)

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilelab.families import InputError, Kind, ObservationSet, nile, normal_cv, uniform_location
-from nilelab.verify import STATISTICS
-from nilelab.statistics import (DegenerateSampleError, InsufficientSampleError,
+from nilelab.families import (FAMILIES, InputError, Kind, ObservationSet, nile, normal_cv,
+                              reduce, uniform_location)
+from nilelab.verify import STATISTICS, resolve_statistic
+from nilelab.statistics import (AncillaryValue, DegenerateSampleError, InsufficientSampleError,
                                 StatId, SufficientSummary, ancillary,
                                 first_order_h, positive_indicator, residuals,
                                 sufficient)
@@ -119,7 +120,37 @@ class TestEvaluate:
             ancillary(SufficientSummary(Kind.NORMAL_CV, (1.0, 0.5), 1))
 
 
+#: Every (statistic, family) pair of the registry.
+_ROW_FAMILIES = [(name, token) for name, row in STATISTICS.items() for token in row.families]
+
+
+@pytest.mark.parametrize("name,token", _ROW_FAMILIES)
+def test_n_floor_is_where_reduce_gives_what_the_row_reads(name, token):
+    # the floor resolve_statistic derives agrees with what families.reduce drops at n = 1
+    family = FAMILIES[token]
+    draws = family.draw(0.5, 1.0, np.random.default_rng(0), (3, 1))
+    reduced = reduce(family, draws, 1, STATISTICS[name].reads)
+    try:
+        resolve_statistic(name, token, 1)
+        defined = True
+    except ValueError as exc:
+        assert str(exc) == f"statistic {name!r} needs n >= 2, got n = 1"
+        defined = False
+    assert defined == (set(reduced) == set(STATISTICS[name].reads))
+    resolve_statistic(name, token, 2)  # every row is defined from n = 2
+
+
+def test_n_floor_of_zero_observations():
+    with pytest.raises(ValueError, match=r"^statistic 'sample_mean' needs n >= 1, got n = 0$"):
+        resolve_statistic("sample_mean", "nile", 0)
+
+
 class TestAncillary:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_value_must_be_finite(self, value):
+        with pytest.raises(InputError, match="ancillary value must be finite"):
+            AncillaryValue(value, StatId.NILE_PRODUCT)
+
     def test_nile_product(self):
         a = ancillary(SufficientSummary(Kind.NILE, (2.0, 3.0), 5))
         assert a.value == 6.0
@@ -195,6 +226,11 @@ class TestPositiveIndicator:
         assert positive_indicator(-0.1) == 0
         assert positive_indicator(0.0) == 0
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite(self, x):
+        with pytest.raises(InputError, match="non-finite value"):
+            positive_indicator(x)
+
     def test_mean_is_normal_cdf_constant(self):
         # P(X > 0) = Phi(1/c) regardless of theta
         from scipy.special import ndtr
@@ -233,3 +269,7 @@ class TestResiduals:
     def test_needs_two_points(self):
         with pytest.raises(InsufficientSampleError):
             residuals(_obs(uniform_location(0.0), [1.0]))
+
+    def test_rejects_a_pair_sample(self):
+        with pytest.raises(InputError, match="residuals are defined for scalar samples"):
+            residuals(_obs(nile(1.0), [(1.0, 2.0), (3.0, 4.0)]))

@@ -42,6 +42,29 @@ class TestMCConfig:
         cfg = MCConfig(0, 10, (1, 2), 5)
         assert cfg.theta_grid == (1.0, 2.0)
 
+    @pytest.mark.parametrize("args,field", [
+        ((1.5, 100, (1, 2), 5), "master_seed"), ((0, 100.5, (1, 2), 5), "replicates"),
+        ((True, 100, (1, 2), 5), "master_seed"), ((0, 100, (1, 2), 5.0), "n"),
+        ((0, 100, (1, 2), 5, np.True_), "workers"), ((0, 100, (1, 2), 5, False), "workers")])
+    def test_non_integer_field_is_rejected_by_name(self, args, field):
+        # numpy would raise a TypeError naming no field, or run True as seed 1
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got "):
+            MCConfig(*args)
+
+    def test_numpy_integers_run_as_python_ints(self):
+        cfg = MCConfig(np.int64(0), np.int32(100), (1, 2), np.uint8(5), np.int64(1))
+        assert cfg == MCConfig(0, 100, (1, 2), 5)
+        assert all(type(v) is int for k, v in cfg.as_dict().items() if k != "theta_grid")
+        report = verify_ancillarity("nile", "nile_product", cfg)
+        assert report.to_json_dict() == verify_ancillarity(
+            "nile", "nile_product", MCConfig(0, 100, (1, 2), 5)).to_json_dict()
+
+    def test_as_dict_is_the_fields_with_the_grid_as_a_list(self):
+        assert MCConfig(3, 100, (1, 2), 5, 2).as_dict() == {
+            "master_seed": 3, "replicates": 100, "theta_grid": [1.0, 2.0], "n": 5, "workers": 2}
+        assert list(MCConfig(3, 100, (1, 2), 5, 2).as_dict()) == [
+            "master_seed", "replicates", "theta_grid", "n", "workers"]
+
 
 class TestRunGridDeterminism:
     @pytest.mark.parametrize("workers", [2, 4])
@@ -582,6 +605,12 @@ class TestRaoZeroCov:
                                                                 0.0, 0.0)
             assert u.transform is identity
 
+    @pytest.mark.parametrize("token", ["nile", "normal_unit"])
+    def test_unknown_transform_is_named(self, monkeypatch, token):
+        monkeypatch.setattr(verify, "run_grid", None)  # rejected before any draw
+        with pytest.raises(ValueError, match=r"^unknown transform 'square'$"):
+            zero_mean_from_ancillary("square", token, _cfg())
+
     def test_nile_mle_violates(self):
         cfg = _cfg(grid=(0.5, 1.0, 2.0), replicates=100_000, n=1)
         u = zero_mean_from_ancillary("log", "nile", cfg)
@@ -630,7 +659,8 @@ class TestCondMomentDependence:
         ("nile_star", "nile", "sample_mean", False),  # not the ancillary
         ("nile_mle", "nile", "ancillary", False),     # its row gives no prediction
         ("ancillary", "nile", "ancillary", False),    # g by the alias: nile_product's row
-        ("khan_linear", "normal_cv", "ancillary", False)])
+        ("khan_linear", "normal_cv", "ancillary", False),
+        ("sample_mean", "normal_unit", "diff12", False)])  # a family with no ancillary
     def test_prediction_is_drawn_from_the_row(self, g_stat, token, w_stat, predicted):
         rep = cond_moment_dependence(g_stat, token, _cfg(grid=(1.0,), replicates=2000),
                                      w_stat=w_stat)
@@ -638,6 +668,12 @@ class TestCondMomentDependence:
             assert ("prediction" in p.statistics) is predicted
             if predicted:
                 assert p.statistics["prediction"] == STATISTICS[g_stat].cond_m2(p.param, 1.0, 5)
+
+    def test_prediction_follows_the_ancillary_row_under_any_name(self, monkeypatch):
+        monkeypatch.setitem(STATISTICS, "w_copy", STATISTICS["nile_product"])
+        rep = cond_moment_dependence("nile_star", "nile", _cfg(grid=(1.0,), replicates=2000),
+                                     w_stat="w_copy")
+        assert all("prediction" in p.statistics for p in rep.points)
 
     def test_too_few_replicates_for_a_decile_bin(self):
         with pytest.raises(VerificationError, match="a decile bin of .* holds 1 replicates"):
