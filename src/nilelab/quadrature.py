@@ -19,6 +19,9 @@ Two deliberately independent evaluation paths are provided:
 * ``bessel_k`` -- K_nu(x) by a fixed-node trapezoid rule applied to the
   integral representation K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt,
   combined with the identity I(nu, a, b) = 2 (a/b)^(nu/2) K_nu(2 sqrt(ab)).
+  Its values are cached per (order, argument) within a process, so a sweep
+  that meets the same K_nu(x) again (both signs of nu, a recurrence's
+  neighbours) evaluates it once.
 
 Neither path shares code with the other, so each serves as an oracle for
 the other in the test suite.
@@ -26,6 +29,7 @@ the other in the test suite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -176,12 +180,15 @@ def laplace_integral(spec: LaplaceIntegralSpec) -> QuadratureResult:
     return QuadratureResult(value * scale, abs_err * scale, neval)
 
 
+@functools.lru_cache(maxsize=4096)
 def bessel_k(nu: int, x: float) -> float:
     """K_nu(x) by fixed-node trapezoid on its cosh integral representation.
 
     Independent of ``laplace_integral`` by construction.  Valid for
     integer nu >= 0 and x >= 1e-3 (smaller x needs an impractically wide
-    truncation window and is rejected).
+    truncation window and is rejected).  The last 4096 distinct values are
+    cached: a repeated (nu, x), with nu as an int or an equal float, returns
+    the float of its first evaluation; an invalid argument raises each time.
     """
     if nu < 0 or nu != int(nu):
         raise ValueError(f"order must be a nonnegative integer, got {nu}")

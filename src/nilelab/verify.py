@@ -237,9 +237,9 @@ def _chunk_sizes(total: int, chunks: int) -> list[int]:
     return [s for s in sizes if s > 0]
 
 
-#: Longest array whose deviations ``_moments`` forms in one piece (512 KiB of
+#: Longest array whose deviations ``_moments`` forms in one piece (128 KiB of
 #: float64); a longer one is split where numpy's pairwise sum splits it.
-_BLOCK = 65536
+_BLOCK = 16384
 
 
 def _moments(x: np.ndarray, order: int = 4) -> np.ndarray:
@@ -480,10 +480,10 @@ def ks_2samp(a: np.ndarray, b: np.ndarray) -> float:
 #: every 16th point of a block that can hold the supremum.
 _KS_STRIDE, _KS_SUBSTRIDE = 256, 16
 
-#: Blocks ``_ks_one_sided`` probes again and searches at once: at most about
-#: _BLOCK / 4 points, so the batch's five index and term arrays hold at most
-#: about 640 KiB.
-_KS_BATCH = _BLOCK // (4 * _KS_STRIDE)
+#: Blocks ``_ks_one_sided`` probes again and searches at once: at most 64
+#: blocks of ``_KS_STRIDE`` points, so the batch's five index and term arrays
+#: hold at most about 640 KiB.
+_KS_BATCH = 64
 
 
 def _ks_one_sided(a: np.ndarray, b: np.ndarray) -> float:
@@ -855,6 +855,11 @@ def cond_moment_dependence(g_stat: str, token: str, config: MCConfig,
     row and g's row has ``cond_m2`` (``nile_star``), each bin also carries that
     prediction at the bin center.  A bin of fewer than two replicates raises
     VerificationError.
+
+    The bins are grouped by one stable sort of the bin index: each bin is a
+    slice of that permutation, which lists its replicates in their drawn
+    order, so every bin's moments and median are those of a boolean-mask
+    selection, bit for bit.
     """
     (theta,) = config.theta_grid  # ValueError unless the run has one grid point
     drawn, degenerate = run_grid(token, config.theta_grid, config.n, c, config,
@@ -863,19 +868,20 @@ def cond_moment_dependence(g_stat: str, token: str, config: MCConfig,
     predict = (resolve_statistic(g_stat, token, config.n).cond_m2
                if binned is STATISTICS.get(FAMILIES[token].ancillary) else None)
     sim = drawn[0]
-    w = sim[w_stat]
-    with np.errstate(over="ignore"):  # an overflow gives the nan spread reported below
-        g2 = sim[g_stat] ** 2
+    g, w = sim[g_stat], sim[w_stat]
     idx = _bin_index([w], [_quantile_edges(w, 10)])
-    fewest = int(np.bincount(idx, minlength=10).min())
+    counts = np.bincount(idx, minlength=10)
+    fewest = int(counts.min())
     if fewest < 2:
         raise VerificationError(f"a decile bin of {w_stat} at theta={theta:g} holds "
                                 f"{fewest} replicates; its mean cannot be tested")
+    by_bin = np.argsort(idx, kind="stable")
     bins = []  # (mean, SE, center, count) of g^2 in each decile bin of w
-    for b in range(10):
-        sel = idx == b
-        bins.append((*_mean_se(_moments(g2[sel], order=2)), float(np.median(w[sel])),
-                     int(sel.sum())))
+    for end, count in zip(np.cumsum(counts).tolist(), counts.tolist()):
+        sel = by_bin[end - count:end]
+        with np.errstate(over="ignore"):  # an overflow gives the nan spread reported below
+            g2 = g[sel] ** 2
+        bins.append((*_mean_se(_moments(g2, order=2)), float(np.median(w[sel])), count))
     bin_means = [m for m, *_ in bins]
     i_lo = int(np.argmin(bin_means))
     i_hi = int(np.argmax(bin_means))
@@ -927,7 +933,12 @@ def fisher_info(config: MCConfig, c: float) -> VerificationReport:
 
 def variance_table(estimators, token: str, config: MCConfig,
                    c: float = 1.0) -> VerificationReport:
-    """MC bias, variance, and MSE per estimator per grid point."""
+    """MC bias, variance, and MSE per estimator per grid point.
+
+    Raises VerificationError where an estimate, its variance or their SEs
+    are not finite, or where a varying estimator's variance squared is not
+    a normal float, so that its variance SE would underflow to 0.
+    """
     drawn, degenerate = run_grid(token, config.theta_grid, config.n, c,
                                  config, list(estimators))
     points = []
@@ -937,6 +948,11 @@ def variance_table(estimators, token: str, config: MCConfig,
             moments = _moments(sim[name])
             m, m_se = _mean_se(moments)
             var, var_se = _var_se(moments)
+            # var^2 and M4 / N underflowed, so the SE would read 0; a constant
+            # estimator's zero variance and SE are exact
+            if var * var < np.finfo(float).tiny and (var > 0 or np.ptp(sim[name]) > 0):
+                raise VerificationError(f"{name} at theta={t:g} has variance {var:g}, whose "
+                                        f"square is not a normal float; its SE cannot be computed")
             if not all(map(math.isfinite, (m, m_se, var, var_se))):
                 raise VerificationError(f"{name} at theta={t:g} has mean {m:g} (SE {m_se:g}) and "
                                         f"variance {var:g} (SE {var_se:g}); a table needs all finite")

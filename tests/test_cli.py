@@ -399,6 +399,15 @@ OVERFLOW_CONFIGS = [
     ("kind = ancillarity\nreplicates = 1\n", "error: nile_product at theta=0.5 has mean "),
     ("kind = rao\nfamily = normal_cv\nestimator = khan_linear\ntransform = identity\n"
      "grid = 1e200\nreplicates = 2000\n", "error: float overflow: "),
+    # an estimator's variance squared underflows, so its variance SE would read 0
+    ("kind = variance-table\nfamily = nile\nestimators = nile_mle,nile_star\ngrid = 1e-80\n"
+     "replicates = 2000\n", "error: nile_mle at theta=1e-80 has variance "),
+    ("kind = variance-table\nfamily = nile\nestimators = nile_mle,nile_star\ngrid = 1e-150\n"
+     "replicates = 2000\n", "error: nile_mle at theta=1e-150 has variance "),
+    # nile_mle's y/x underflows to the constant 0, whose zero variance is exact;
+    # nile_star's deviations square to 0
+    ("kind = variance-table\nfamily = nile\nestimators = nile_mle,nile_star\ngrid = 1e-200\n"
+     "replicates = 2000\n", "error: nile_star at theta=1e-200 has variance 0,"),
     # theta^2 underflows to 0, and a bin's zero SE is at the run's theta, not its centre's
     ("kind = fisher-info\ntheta = 1e-200\nreplicates = 2000\n",
      "error: score_variance at theta=1e-200: theta^2 is not a normal float"),
@@ -432,6 +441,19 @@ def test_fisher_info_at_an_extreme_theta_reports(tmp_path, capsys):
     report = json.loads((out / "exp.report.json").read_text())
     assert report["verdicts"] == {"matches-closed-form": "pass"}
     assert report["statistics"][0]["closed_form"] == pytest.approx(3e-300, rel=1e-12)
+
+
+def test_variance_table_at_a_small_theta_reports_nonzero_ses(tmp_path, capsys):
+    # var^2 is about 1e-240 here, still a normal float
+    cfg = _write(tmp_path, "kind = variance-table\nfamily = nile\nestimators = nile_mle,nile_star\n"
+                           "grid = 1e-60\nreplicates = 2000\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "exp.report.json").read_text())
+    assert report["verdicts"] == {"table-computed": "pass"}
+    (se,) = report["se"]
+    assert len(se) == 4 and all(v > 0 for v in se.values())
 
 
 def test_cond_moment_below_the_table_grid_gives_no_warning(tmp_path, capsys):

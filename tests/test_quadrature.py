@@ -10,6 +10,7 @@ from nilelab.estimators import h_star
 from nilelab.quadrature import (LaplaceIntegralSpec, QuadratureFailure, bessel_k, cond_moment, cond_moment_bessel,
                                 cond_second_moment_ratio, laplace_integral,
                                 laplace_integral_bessel)
+from nilelab.selftest import SWEEP_N, SWEEP_ORDERS, SWEEP_W
 
 # Frozen oracle values (high-precision evaluation of the integral
 # representations; cross-checked against standard tables).
@@ -44,17 +45,33 @@ class TestBesselK:
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            bessel_k(0, 1e-4)
-        with pytest.raises(ValueError):
-            bessel_k(-1, 2.0)
-        with pytest.raises(ValueError):
-            bessel_k(0, -1.0)
+        for _ in range(2):  # an error is not cached: a repeated call raises again
+            with pytest.raises(ValueError):
+                bessel_k(0, 1e-4)
+            with pytest.raises(ValueError):
+                bessel_k(-1, 2.0)
+            with pytest.raises(ValueError):
+                bessel_k(0, -1.0)
 
     def test_rejects_an_argument_whose_integrand_underflows(self):
         assert bessel_k(0, 700.0) > 0.0
-        with pytest.raises(ValueError, match="argument 700.5 too large: integrand underflows"):
-            bessel_k(0, 700.5)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="argument 700.5 too large: integrand underflows"):
+                bessel_k(0, 700.5)
+
+    def test_cached_values_equal_uncached_ones_over_the_selftest(self):
+        # every (order, argument) the quadrature selftest asks for, by both of
+        # its routes: laplace_integral_bessel's sweep and the recurrence check
+        args = {(abs(nu), 2.0 * math.sqrt(float(n) * (float(n) * w)))
+                for nu in SWEEP_ORDERS for n in SWEEP_N for w in SWEEP_W}
+        args |= {(order, float(x)) for x in np.linspace(0.5, 20.0, 40) for order in range(5)}
+        for nu, x in sorted(args):
+            first, again = bessel_k(nu, x), bessel_k(nu, x)
+            assert first == again == bessel_k.__wrapped__(nu, x)
+
+    def test_a_float_order_gives_the_int_order_value(self):
+        for x in (0.5, 2.0, 7.25):
+            assert bessel_k(2.0, x) == bessel_k(2, x) == bessel_k.__wrapped__(2, x)
 
     def test_bessel_path_rejects_a_non_integer_order(self):
         with pytest.raises(ValueError, match="Bessel path requires integer order"):

@@ -679,6 +679,35 @@ class TestCondMomentDependence:
         with pytest.raises(VerificationError, match="a decile bin of .* holds 1 replicates"):
             cond_moment_dependence("nile_star", "nile", _cfg(grid=(1.0,), replicates=10))
 
+    @pytest.mark.parametrize("replicates,fewest", [(11, 0), (19, 1)])
+    def test_a_bin_of_fewer_than_two_replicates_raises(self, replicates, fewest):
+        with pytest.raises(VerificationError, match=f"a decile bin of .* holds {fewest} replicates"):
+            cond_moment_dependence("nile_star", "nile", _cfg(grid=(1.0,), replicates=replicates))
+
+    def test_bins_of_two_replicates_are_tested(self):
+        rep = cond_moment_dependence("nile_star", "nile", _cfg(grid=(1.0,), replicates=20))
+        assert [p.statistics["bin_count"] for p in rep.points] == [2] * 10
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_bins_equal_a_masked_loop(self, n, seed):
+        # each decile bin selected by a boolean mask of searchsorted's bins on
+        # the same draws, its moments taken by numpy on the selection
+        config = _cfg(seed=seed, grid=(1.0,), n=n, replicates=2000)
+        sim = run_grid("nile", (1.0,), n, 1.0, config, ["nile_star", "ancillary"])[0][0]
+        w, g2 = sim["ancillary"], sim["nile_star"] ** 2
+        edges = np.unique(np.quantile(w, np.linspace(0.0, 1.0, 11)[1:-1]))
+        idx = np.searchsorted(edges, w, side="right")
+        rep = cond_moment_dependence("nile_star", "nile", config)
+        assert len(rep.points) == 10
+        for b, point in enumerate(rep.points):
+            sel = idx == b
+            count = int(sel.sum())
+            assert point.estimates["E[g^2|bin]"] == g2[sel].mean()
+            assert point.se["E[g^2|bin]"] == g2[sel].std(ddof=1) / math.sqrt(count)
+            assert point.param == float(np.median(w[sel]))
+            assert point.statistics["bin_count"] == count
+
     def test_fixture_shows_no_dependence(self):
         rep = cond_moment_dependence("sample_mean", "normal_unit",
                                      _cfg(grid=(1.0,), n=2, replicates=100_000),
