@@ -1,4 +1,4 @@
-"""Natural (canonical) exponential-family parameters and their polynomial constraints.
+"""Natural parameters of the curved exponential families and their polynomial constraints.
 
 Each of the three exponential families here is "curved": its natural
 parameter vector eta = (eta1, eta2) is confined to an algebraic curve.

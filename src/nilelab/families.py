@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,22 +43,17 @@ class InsufficientSampleError(ValueError):
 class FamilyModel:
     """A fully specified population.
 
-    ``theta``, or ``rho`` where the row's ``param`` says so, is the scalar
-    parameter.  ``c`` is the known coefficient of variation of NormalCV (default 1.0).
+    ``param`` is the family's scalar parameter (rho for the correlation family,
+    theta for the others).  ``c`` is the known coefficient of variation of
+    NormalCV (default 1.0).
     """
 
     kind: Kind
-    theta: float = field(default=float("nan"))
-    rho: float = field(default=float("nan"))
+    param: float = float("nan")
     c: float = 1.0
 
     def __post_init__(self):
         FAMILIES[self.kind.value].check(self.param, self.c)
-
-    @property
-    def param(self) -> float:
-        """The family's scalar parameter: the field its row's ``param`` names."""
-        return getattr(self, FAMILIES[self.kind.value].param)
 
 
 @dataclass(frozen=True)
@@ -127,16 +122,16 @@ def sample(model: FamilyModel, n: int, rng: np.random.Generator) -> ObservationS
 #: alias "ancillary" means, or None.  ``density(x[, y], theta, c)`` of one
 #: finite observation.  ``natural(theta, c)`` -> (eta1, eta2) and
 #: ``constraint(eta1, eta2, c)``, 0 on their curve: None unless exponential;
-#: ``curve_grid(k)``: the selftest's grid.  ``param``: the ``FamilyModel``
-#: field of the parameter.  ``check_points`` and ``check_summary``: InputError
-#: for impossible observations and sufficient values.  ``first_order_grid`` and
-#: ``contrast`` (an exact zero-mean statistic, or None): CLI defaults.
+#: ``curve_grid(k)``: the selftest's grid.  ``check_points`` and
+#: ``check_summary``: InputError for impossible observations and sufficient
+#: values.  ``first_order_grid`` and ``contrast`` (an exact zero-mean
+#: statistic, or None): CLI defaults.
 #: ``single_pair``: one pair per engine replicate.  ``direct``: a ``Direct``
 #: sampler of reduced names that skips the observations, or None.
 Family = namedtuple(
     "Family", "draw reduce check sufficient ancillary density natural constraint curve_grid "
-    "param check_points check_summary first_order_grid contrast pairs single_pair direct",
-    defaults=(None, None, lambda k: np.geomspace(0.1, 10.0, k), "theta", lambda values: None,
+    "check_points check_summary first_order_grid contrast pairs single_pair direct",
+    defaults=(None, None, lambda k: np.geomspace(0.1, 10.0, k), lambda values: None,
               lambda values: None, (0.5, 1.0, 2.0), None, False, False, None))
 
 #: An exact sampler of the reduced arrays ``names`` (the minimal sufficient
@@ -262,7 +257,7 @@ FAMILIES = {
                                       / (2.0 * math.pi * math.sqrt(1.0 - rho * rho))),
         natural=lambda rho, c: (-1.0 / (2.0 * (1.0 - rho * rho)), rho / (1.0 - rho * rho)),
         constraint=lambda e1, e2, c: math.fsum([2.0 * e1, -e2 * e2, 4.0 * e1 * e1]),
-        curve_grid=lambda k: np.linspace(-0.9, 0.9, k), param="rho",
+        curve_grid=lambda k: np.linspace(-0.9, 0.9, k),
         first_order_grid=(-0.9, 0.0, 0.9), pairs=True, single_pair=True),
     "normal_cv": Family(
         lambda theta, c, rng, size: theta + c * theta * rng.standard_normal(size),
@@ -295,16 +290,16 @@ Kind = enum.Enum("Kind", [(token.upper(), token) for token in FAMILIES], module=
 
 
 def nile(theta: float) -> FamilyModel:
-    return FamilyModel(kind=Kind.NILE, theta=theta)
+    return FamilyModel(Kind.NILE, theta)
 
 
 def bivariate_gaussian(rho: float) -> FamilyModel:
-    return FamilyModel(kind=Kind.BIVARIATE_GAUSSIAN_CORR, rho=rho)
+    return FamilyModel(Kind.BIVARIATE_GAUSSIAN_CORR, rho)
 
 
 def normal_cv(theta: float, c: float = 1.0) -> FamilyModel:
-    return FamilyModel(kind=Kind.NORMAL_CV, theta=theta, c=c)
+    return FamilyModel(Kind.NORMAL_CV, theta, c)
 
 
 def uniform_location(theta: float) -> FamilyModel:
-    return FamilyModel(kind=Kind.UNIFORM_LOCATION, theta=theta)
+    return FamilyModel(Kind.UNIFORM_LOCATION, theta)

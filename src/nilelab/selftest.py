@@ -83,7 +83,7 @@ def constraint_selftest() -> VerificationReport:
             continue
         etas = []
         for param in family.curve_grid(CONSTRAINT_GRID_POINTS):
-            np_ = canonical.natural_params(FamilyModel(Kind(token), **{family.param: param}))
+            np_ = canonical.natural_params(FamilyModel(Kind(token), param))
             etas.append(np_.eta)
             worst = max(worst, abs(np_.residual))
             points.append(GridPointResult(

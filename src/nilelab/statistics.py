@@ -88,13 +88,11 @@ def sufficient(obs: ObservationSet) -> SufficientSummary:
 
 def ancillary(summary: SufficientSummary) -> AncillaryValue:
     """The family's declared ancillary statistic, as a function of the summary."""
-    family = FAMILIES[summary.kind.value]
-    if family.ancillary is None:
-        raise InputError(f"no scalar ancillary defined for {summary.kind}")
-    value = summary.evaluate(family.ancillary)
+    value = summary.evaluate("ancillary")
+    name = FAMILIES[summary.kind.value].ancillary
     if not math.isfinite(value):
-        raise DegenerateSampleError(f"{family.ancillary} = {value}: degenerate sample")
-    return AncillaryValue(value, StatId(family.ancillary))
+        raise DegenerateSampleError(f"{name} = {value}: degenerate sample")
+    return AncillaryValue(value, StatId(name))
 
 
 def first_order_h(x: float, y: float) -> int:

@@ -853,8 +853,10 @@ def cond_moment_dependence(g_stat: str, token: str, config: MCConfig,
     extreme bin means exceeds 4x their combined SE; ``pass`` means no
     dependence was detected.  When ``w_stat``'s row is the family's ancillary
     row and g's row has ``cond_m2`` (``nile_star``), each bin also carries that
-    prediction at the bin center.  A bin of fewer than two replicates raises
-    VerificationError.
+    prediction at the bin center.  Ties in w can leave fewer than ten bins, and
+    empty bins are dropped; fewer than two bins, a bin of fewer than two
+    replicates, or a bin whose variance of g^2 underflowed where g varies
+    raises VerificationError.
 
     The bins are grouped by one stable sort of the bin index: each bin is a
     slice of that permutation, which lists its replicates in their drawn
@@ -870,24 +872,34 @@ def cond_moment_dependence(g_stat: str, token: str, config: MCConfig,
     sim = drawn[0]
     g, w = sim[g_stat], sim[w_stat]
     idx = _bin_index([w], [_quantile_edges(w, 10)])
-    counts = np.bincount(idx, minlength=10)
-    fewest = int(counts.min())
-    if fewest < 2:
+    counts = np.bincount(idx)
+    held = counts[counts > 0]  # ties in w, or a small sample, can leave a bin empty
+    if held.size < 2:
+        raise VerificationError(f"{w_stat} at theta={theta:g} falls in one decile bin; "
+                                f"there are no bin means to compare")
+    if held.min() < 2:
         raise VerificationError(f"a decile bin of {w_stat} at theta={theta:g} holds "
-                                f"{fewest} replicates; its mean cannot be tested")
+                                f"{held.min()} replicates; its mean cannot be tested")
     by_bin = np.argsort(idx, kind="stable")
-    bins = []  # (mean, SE, center, count) of g^2 in each decile bin of w
-    for end, count in zip(np.cumsum(counts).tolist(), counts.tolist()):
+    bins = []  # (mean, SE, center, count) of g^2 in each nonempty decile bin of w
+    for end, count in zip(np.cumsum(held).tolist(), held.tolist()):
         sel = by_bin[end - count:end]
         with np.errstate(over="ignore"):  # an overflow gives the nan spread reported below
             g2 = g[sel] ** 2
-        bins.append((*_mean_se(_moments(g2, order=2)), float(np.median(w[sel])), count))
+        moments = _moments(g2, order=2)
+        var = moments[2] / (count - 1)
+        if var < np.finfo(float).tiny and np.ptp(g[sel]) > 0:  # g^2 underflowed
+            raise VerificationError(f"{g_stat}^2 at theta={theta:g} has variance {var:g} in a "
+                                    f"bin of {w_stat}, not a normal float; its SE cannot be "
+                                    f"computed")
+        bins.append((*_mean_se(moments), float(np.median(w[sel])), count))
     bin_means = [m for m, *_ in bins]
     i_lo = int(np.argmin(bin_means))
     i_hi = int(np.argmax(bin_means))
     spread = bin_means[i_hi] - bin_means[i_lo]
     spread_se = math.sqrt(bins[i_hi][1] ** 2 + bins[i_lo][1] ** 2)
-    if not (math.isfinite(spread) and math.isfinite(spread_se)):  # e.g. g^2 overflowed
+    # g^2 overflowed, or is one value in every bin (e.g. g underflowed to 0): no test
+    if not (math.isfinite(spread) and math.isfinite(spread_se)) or spread == spread_se == 0:
         raise VerificationError(f"spread of E[g^2|bin] at theta={theta:g} is {spread:g} "
                                 f"(SE {spread_se:g}); it cannot be tested")
     points = []
@@ -910,7 +922,8 @@ def fisher_info(config: MCConfig, c: float) -> VerificationReport:
     at ``config``'s one grid point theta.
 
     Also reports the location-only information 1/(c^2 theta^2) and the
-    ratio (2 c^2 + 1) between the two.  Streams: keeps the moments of the
+    ratio (2 c^2 + 1) between the two; VerificationError where either
+    information is not a normal float.  Streams: keeps the moments of the
     score, not its replicates: those of theta times the score, whose fourth
     central moment stays in the float range at a large theta.
     """
@@ -922,12 +935,16 @@ def fisher_info(config: MCConfig, c: float) -> VerificationReport:
     var, se = (v / (theta * theta) for v in _var_se(drawn[0]["score"]))
     closed = (2.0 + 1.0 / (c * c)) / (theta * theta)
     location_only = 1.0 / (c * c * theta * theta)
+    for quantity, value in (("closed_form", closed), ("location_only", location_only)):
+        if not np.finfo(float).tiny <= value < math.inf:
+            raise VerificationError(f"{quantity} at theta={theta:g}, c={c:g} is {value:g}, "
+                                    f"not a normal float")
     z = _z(var - closed, se, "score_variance", theta)
     point = GridPointResult(param=theta, estimates={"score_variance": var},
                             se={"score_variance": se}, statistics={"z": z})
     return _report(f"Fisher information of N(theta, (c*theta)^2) at theta={theta:g}, c={c:g}",
                    config, [point], {"closed_form": closed, "location_only": location_only,
-                                     "info_ratio": closed / location_only},
+                                     "info_ratio": 2.0 * c * c + 1.0},
                    {"matches-closed-form": "pass" if abs(z) < 3.0 else "fail"})
 
 

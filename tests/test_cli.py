@@ -408,11 +408,21 @@ OVERFLOW_CONFIGS = [
     # nile_star's deviations square to 0
     ("kind = variance-table\nfamily = nile\nestimators = nile_mle,nile_star\ngrid = 1e-200\n"
      "replicates = 2000\n", "error: nile_star at theta=1e-200 has variance 0,"),
-    # theta^2 underflows to 0, and a bin's zero SE is at the run's theta, not its centre's
+    # theta^2, or an information, is not a normal float
     ("kind = fisher-info\ntheta = 1e-200\nreplicates = 2000\n",
      "error: score_variance at theta=1e-200: theta^2 is not a normal float"),
+    ("kind = fisher-info\ntheta = 1e100\nc = 1e60\nreplicates = 2000\n",
+     "error: location_only at theta=1e+100, c=1e+60 is 0, not a normal float"),
+    # g^2 underflows in a bin where g varies, so the bin's variance and SE read 0 or
+    # subnormal; nile_mle's y/x underflows to the constant 0, which no bin can compare
     ("kind = cond-moment\ntheta = 1e-200\nreplicates = 20000\n",
-     "error: standard error of E[g^2|bin] at centre 0.262874 at theta=1e-200 is 0;"),
+     "error: nile_star^2 at theta=1e-200 has variance 0 in a bin of ancillary, "),
+    ("kind = cond-moment\nestimator = nile_mle\ntheta = 1e-80\nreplicates = 2000\n",
+     "error: nile_mle^2 at theta=1e-80 has variance 2.8"),
+    ("kind = cond-moment\nestimator = sample_mean\ntheta = 1e170\nreplicates = 2000\n",
+     "error: sample_mean^2 at theta=1e+170 has variance 0 in a bin of ancillary, "),
+    ("kind = cond-moment\nestimator = nile_mle\ntheta = 1e-200\nreplicates = 2000\n",
+     "error: spread of E[g^2|bin] at theta=1e-200 is 0 (SE 0); it cannot be tested"),
     # every replicate degenerate: no value to take quantile edges from
     ("kind = independence\nc = 1e-17\nn = 2\nreplicates = 2000\n",
      "error: every replicate at theta=1 is degenerate; there is no sample to test"),
@@ -429,6 +439,41 @@ def test_overflow_exits_one_with_error_line(tmp_path, capsys, text, message):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(message)
     assert not list(out.glob("*"))
+
+
+#: Every Monte Carlo kind at its defaults, its grid (twice, as ancillarity needs two
+#: points) or theta set to an extreme value; fisher-info also at extreme theta and c.
+EXTREME_CONFIGS = [
+    f"kind = {kind}\nreplicates = 2000\n"
+    + (f"theta = {v}\n" if "theta" in row.keys else f"grid = {v},{v}\n")
+    for kind, row in EXPERIMENTS.items() if "replicates" in row.keys
+    for v in ("1e-300", "1e-200", "1e-80", "1e80", "1e200", "1e300")
+] + [f"kind = fisher-info\nreplicates = 2000\ntheta = {theta}\nc = {c}\n"
+     for theta in ("1e-100", "1e100") for c in ("1e-60", "1e60")]
+
+
+@pytest.mark.parametrize("text", EXTREME_CONFIGS)
+def test_extreme_config_exits_with_a_documented_code(tmp_path, capsys, text):
+    cfg = _write(tmp_path, text)
+    code = main(["run", str(cfg), "--out", str(tmp_path / "out")])
+    assert code in (0, 1, 2, 3)
+    err = capsys.readouterr().err.splitlines()
+    if code == 1:
+        assert len(err) == 1 and err[0].startswith("error: ")
+    else:
+        assert err == []
+
+
+def test_cond_moment_on_a_tied_statistic_merges_its_bins(tmp_path, capsys):
+    # positive_indicator is 0 on under 2% of the replicates, so its nine deciles
+    # are all 1: one distinct edge, and one bin each for the 0s and the 1s
+    cfg = _write(tmp_path, "kind = cond-moment\nfamily = normal_cv\nestimator = khan_linear\n"
+                           "statistic = positive_indicator\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) in (0, 2)
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "exp.report.json").read_text())
+    assert report["grid"] == [0.0, 1.0]
 
 
 def test_fisher_info_at_an_extreme_theta_reports(tmp_path, capsys):

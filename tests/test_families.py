@@ -192,7 +192,7 @@ class TestSampler:
     @staticmethod
     def _marginal(model, coord, x):
         if model.kind is Kind.NILE:
-            rate = model.theta if coord == 0 else 1.0 / model.theta
+            rate = model.param if coord == 0 else 1.0 / model.param
             return rate * math.exp(-rate * x) if x > 0 else 0.0
         return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 

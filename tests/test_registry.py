@@ -1,13 +1,14 @@
 """Each ``families.FAMILIES`` row agrees with the engine and with ``FamilyModel``."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from nilelab.canonical import NotExponentialError, natural_params
-from nilelab.families import (FAMILIES, DomainError, FamilyModel, Kind, density, reduce,
-                              sample)
+from nilelab.families import (FAMILIES, DomainError, Family, FamilyModel, Kind, density,
+                              reduce, sample)
 from nilelab.selftest import CONSTRAINT_GRID_POINTS, CONSTRAINT_TOL
 from nilelab.statistics import StatId, sufficient
 from nilelab.verify import STATISTICS, MCConfig, run_grid
@@ -31,13 +32,13 @@ def test_family_row_agrees_with_engine_and_family_model(token):
     with pytest.raises(DomainError) as from_grid:
         run_grid(token, (math.inf,), 2, 1.0, config, [stat])
     with pytest.raises(DomainError) as from_model:
-        FamilyModel(kind=Kind(token), theta=math.inf, rho=math.inf)
+        FamilyModel(Kind(token), math.inf)
     assert str(from_model.value) == str(from_grid.value)
-    model = FamilyModel(kind=Kind(token), **{family.param: 0.5})
+    model = FamilyModel(Kind(token), 0.5)
     obs = sample(model, 3, np.random.default_rng(1))
     assert 0.0 < density(model, obs.points[0]) < math.inf
     sufficient(obs)  # SufficientSummary accepts what the reducer gives
-    models = [FamilyModel(kind=Kind(token), **{family.param: param})
+    models = [FamilyModel(Kind(token), param)
               for param in family.curve_grid(CONSTRAINT_GRID_POINTS)]
     if family.natural is None:
         with pytest.raises(NotExponentialError):
@@ -52,3 +53,15 @@ def test_enums_are_built_from_the_rows():
     assert [s.value for s in StatId] == list(dict.fromkeys(declared))
     assert all(k.name == k.value.upper() for k in Kind)
     assert all(s.name == s.value.upper() for s in StatId)
+
+
+def test_family_model_holds_one_parameter():
+    assert [f.name for f in fields(FamilyModel)] == ["kind", "param", "c"]
+    assert "param" not in Family._fields
+    assert FamilyModel(Kind.BIVARIATE_GAUSSIAN_CORR, 0.5).param == 0.5
+    with pytest.raises(TypeError):
+        FamilyModel(Kind.NILE, theta=1.0)
+    with pytest.raises(DomainError, match="nile: theta must be finite and > 0, got nan"):
+        FamilyModel(Kind.NILE)
+    with pytest.raises(DomainError, match="rho must lie in"):
+        FamilyModel(Kind.BIVARIATE_GAUSSIAN_CORR, 1.0)

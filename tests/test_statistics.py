@@ -171,7 +171,7 @@ class TestAncillary:
     @pytest.mark.parametrize("kind,components", [
         (Kind.BIVARIATE_GAUSSIAN_CORR, (4.0, 0.0)), (Kind.NORMAL_UNIT, (0.3,))])
     def test_family_without_an_ancillary_raises(self, kind, components):
-        with pytest.raises(InputError, match="no scalar ancillary"):
+        with pytest.raises(InputError, match="declares no ancillary"):
             ancillary(SufficientSummary(kind, components, 5))
 
     @given(lam=st.floats(0.01, 100.0), xbar=st.floats(0.01, 50.0),

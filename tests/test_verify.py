@@ -679,7 +679,7 @@ class TestCondMomentDependence:
         with pytest.raises(VerificationError, match="a decile bin of .* holds 1 replicates"):
             cond_moment_dependence("nile_star", "nile", _cfg(grid=(1.0,), replicates=10))
 
-    @pytest.mark.parametrize("replicates,fewest", [(11, 0), (19, 1)])
+    @pytest.mark.parametrize("replicates,fewest", [(11, 1), (19, 1)])
     def test_a_bin_of_fewer_than_two_replicates_raises(self, replicates, fewest):
         with pytest.raises(VerificationError, match=f"a decile bin of .* holds {fewest} replicates"):
             cond_moment_dependence("nile_star", "nile", _cfg(grid=(1.0,), replicates=replicates))
