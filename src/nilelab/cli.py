@@ -11,7 +11,7 @@ Subcommands:
   constraint suites).
 
 Exit codes: 0 all verdicts pass, 2 any verdict failed, 3 any verdict
-inconclusive, 1 execution error (bad config, unwritable output, ...).
+inconclusive, 1 any error (bad usage or config, unwritable output, ...).
 """
 
 from __future__ import annotations
@@ -319,8 +319,8 @@ def list_experiments() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_all(reports, out_dir: Path) -> bool:
-    """Write each (report, name); on OSError remove what was written and print an error."""
+def _write_all(reports, out_dir: Path) -> None:
+    """Write each (report, name); on OSError remove what was written and raise ConfigError."""
     written = []
     try:
         for report, name in reports:
@@ -328,36 +328,24 @@ def _write_all(reports, out_dir: Path) -> bool:
     except OSError as exc:
         for p in written:
             p.unlink()
-        print(f"error: cannot write report to {out_dir}: {exc}", file=sys.stderr)
-        return False
-    return True
+        raise ConfigError(f"cannot write report to {out_dir}: {exc}") from None
 
 
 def cmd_run(args) -> int:
+    path = Path(args.config)
     try:
-        path = Path(args.config)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            print(f"error: cannot read config {path}: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-        cfg = parse_config(text)
-        cfg = replace(cfg, **{key: getattr(args, key) for key in ("seed", "out", "workers")
-                              if getattr(args, key) is not None})
-        cfg.validate()
-        name = cfg.name or path.stem
-        report = run_experiment(cfg)
-        if not _write_all([(report, name)], Path(cfg.out)):
-            return EXIT_ERROR
-        for sub, verdict in report.verdicts.items():
-            print(f"{name}: {sub}: {verdict}")
-        return _exit_code(report)
-    except (ConfigError, verify.VerificationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except MemoryError as exc:  # e.g. replicates too large for run_grid's output arrays
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        text = path.read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    cfg = replace(parse_config(text), **{key: value for key in ("seed", "out", "workers")
+                                         if (value := getattr(args, key)) is not None})
+    cfg.validate()
+    name = cfg.name or path.stem
+    report = run_experiment(cfg)
+    _write_all([(report, name)], Path(cfg.out))
+    for sub, verdict in report.verdicts.items():
+        print(f"{name}: {sub}: {verdict}")
+    return _exit_code(report)
 
 
 def cmd_list(_args) -> int:
@@ -369,8 +357,8 @@ def cmd_selftest(args) -> int:
     # every kind that draws no replicates; each report is named after its kind
     reports = [(run_experiment(ExperimentConfig(kind)), kind)
                for kind, row in EXPERIMENTS.items() if "replicates" not in row.keys]
-    if args.out is not None and not _write_all(reports, Path(args.out)):
-        return EXIT_ERROR
+    if args.out is not None:
+        _write_all(reports, Path(args.out))
     code = EXIT_PASS
     for report, _ in reports:
         for sub, verdict in report.verdicts.items():
@@ -379,8 +367,13 @@ def cmd_selftest(args) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1 through main; subparsers inherit this
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nilelab",
         description="Monte Carlo and quadrature checks for incomplete-sufficiency "
                     "families (ancillarity, UMVUE necessary conditions, Fisher "
@@ -401,8 +394,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:  # the one place a failure becomes exit 1 and one error: line
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except (ConfigError, verify.VerificationError, ValueError) as exc:
+        message = str(exc)
+    except MemoryError as exc:  # e.g. replicates too large for run_grid's output arrays
+        message = f"out of memory: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -439,8 +439,10 @@ def _var_se(moments: np.ndarray) -> tuple[float, float]:
 def _z(diff: float, se: float, quantity: str, theta: float) -> float:
     """diff / se; a zero or undefined SE leaves nothing to test against."""
     if not 0.0 < se < math.inf:
+        cause = ("a constant or too small sample cannot be tested" if se == 0.0 else
+                 "its moments overflowed or fewer than two replicates were kept")
         raise VerificationError(f"standard error of {quantity} at theta={theta:g} is "
-                                f"{se:g}; a constant or too small sample cannot be tested")
+                                f"{se:g}; {cause}")
     return diff / se
 
 
@@ -923,7 +925,8 @@ def fisher_info(config: MCConfig, c: float) -> VerificationReport:
 
     Also reports the location-only information 1/(c^2 theta^2) and the
     ratio (2 c^2 + 1) between the two; VerificationError where either
-    information is not a normal float.  Streams: keeps the moments of the
+    information is not a normal float, or where every draw rounds to one
+    float, so the score never varies.  Streams: keeps the moments of the
     score, not its replicates: those of theta times the score, whose fourth
     central moment stays in the float range at a large theta.
     """
@@ -939,6 +942,10 @@ def fisher_info(config: MCConfig, c: float) -> VerificationReport:
         if not np.finfo(float).tiny <= value < math.inf:
             raise VerificationError(f"{quantity} at theta={theta:g}, c={c:g} is {value:g}, "
                                     f"not a normal float")
+    if var == 0.0:  # not its SE, which two different scores also give at 2 replicates
+        raise VerificationError(f"score at theta={theta:g}, c={c:g} has sample variance 0: "
+                                f"every draw rounded to one float (c*theta = {c * theta:g}, "
+                                f"float spacing at theta {np.spacing(theta):g})")
     z = _z(var - closed, se, "score_variance", theta)
     point = GridPointResult(param=theta, estimates={"score_variance": var},
                             se={"score_variance": se}, statistics={"z": z})

@@ -15,6 +15,7 @@ from nilelab import cli, verify
 from nilelab.cli import (EXPERIMENT_KINDS, EXPERIMENTS, ConfigError, ExperimentConfig,
                          format_config, list_experiments, main, parse_config,
                          run_experiment, with_defaults)
+from nilelab.quadrature import QuadratureFailure
 
 
 class TestParseConfig:
@@ -423,6 +424,19 @@ OVERFLOW_CONFIGS = [
      "error: sample_mean^2 at theta=1e+170 has variance 0 in a bin of ancillary, "),
     ("kind = cond-moment\nestimator = nile_mle\ntheta = 1e-200\nreplicates = 2000\n",
      "error: spread of E[g^2|bin] at theta=1e-200 is 0 (SE 0); it cannot be tested"),
+    # squared deviations overflow, so the SE is nan or inf though the replicates vary
+    ("kind = rao\nestimator = nile_star\npower = 6\ngrid = 1e60\nreplicates = 2000\n",
+     "error: standard error of E[g^k U] at theta=1e+60 is nan; its moments overflowed "),
+    ("kind = first-order\nfamily = normal_unit\nstatistic = sample_mean\ngrid = 1e200,2e200\n"
+     "replicates = 2000\n",
+     "error: standard error of sample_mean at theta=1e+200 is inf; its moments overflowed "),
+    # c theta is below the float spacing at theta, so every draw equals theta
+    ("kind = fisher-info\ntheta = 1\nc = 1e-17\nreplicates = 2000\n",
+     "error: score at theta=1, c=1e-17 has sample variance 0: every draw rounded to one float "
+     "(c*theta = 1e-17, float spacing at theta 2.22045e-16)"),
+    ("kind = fisher-info\ntheta = 1e100\nc = 1e-60\nreplicates = 2000\n",
+     "error: score at theta=1e+100, c=1e-60 has sample variance 0: every draw rounded to one "
+     "float (c*theta = 1e+40, float spacing at theta 1.94267e+84)"),
     # every replicate degenerate: no value to take quantile edges from
     ("kind = independence\nc = 1e-17\nn = 2\nreplicates = 2000\n",
      "error: every replicate at theta=1 is degenerate; there is no sample to test"),
@@ -530,6 +544,38 @@ def test_out_of_memory_exits_one_with_error_line(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: out of memory: Unable to allocate 7.28 TiB for an array"]
     assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("failure,line", [
+    (QuadratureFailure("no convergence"), "error: no convergence"),
+    (MemoryError("Unable to allocate"), "error: out of memory: Unable to allocate")])
+def test_selftest_failure_exits_one_with_error_line(capsys, monkeypatch, failure, line):
+    def fail(cfg):
+        raise failure
+
+    row = EXPERIMENTS["quadrature-selftest"]
+    monkeypatch.setitem(EXPERIMENTS, "quadrature-selftest", row._replace(run=fail))
+    assert main(["selftest"]) == 1
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["run"], "error: the following arguments are required: config"),
+    (["bogus"], "error: argument command: invalid choice: 'bogus'"),
+    (["run", "x.cfg", "--workers", "abc"], "error: argument --workers: invalid int value: 'abc'")])
+def test_usage_error_exits_one_with_error_line(capsys, argv, line):
+    # exit 2 is a failed verdict, so a usage error must not give it
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith(line)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: nilelab" in capsys.readouterr().out
 
 
 #: The verify entry points the Monte Carlo runners call.
