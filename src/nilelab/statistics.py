@@ -70,7 +70,7 @@ class AncillaryValue:
 def _evaluate(row, values: dict, n: int = 1, c: float = 1.0) -> float:
     """The engine statistic ``row`` on one replicate with reduced ``values``."""
     sim = {k: np.array([v], dtype=float) for k, v in values.items()}
-    return float(row.compute(sim, math.nan, n, c)[0])
+    return float(row.compute(sim, n, c)[0])
 
 
 def sufficient(obs: ObservationSet) -> SufficientSummary:

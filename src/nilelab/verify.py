@@ -148,32 +148,25 @@ def _report(claim: str, config: MCConfig, points: list, statistics: dict, verdic
 
 FAMILY_TOKENS = tuple(FAMILIES)
 
-#: A named statistic: ``compute(sim, theta, n, c)`` over the reduced arrays
-#: ``reads`` (``families.reduce`` names) for each token in ``families``,
-#: defined for every n at which ``reduce`` gives all it reads; ``target`` maps
-#: a family token to a function of c, the statistic's known parameter-free
-#: mean on that family, which the first-order check compares against;
-#: ``cond_m2(w, theta, n)`` is its closed-form E(g^2 | the family's ancillary = w).
+#: A named statistic, a function of the sample and no parameter: ``compute(sim,
+#: n, c)`` over the reduced arrays ``reads`` (``families.reduce`` names) for each
+#: token in ``families``, defined for every n at which ``reduce`` gives all it
+#: reads; ``target`` maps a family token to a function of c, the statistic's known
+#: parameter-free mean on that family, which the first-order check compares
+#: against; ``cond_m2(w, theta, n)`` is its closed-form E(g^2 | the family's ancillary = w).
 Statistic = namedtuple("Statistic", "compute reads families target cond_m2",
                        defaults=(None, None))
 
 
-def _normal_cv_ratio(sim, theta, n, c):
+def _normal_cv_ratio(sim, n, c):
     xbar, s = sim["xbar"], sim["s"]
     with np.errstate(divide="ignore"):
         return np.where(s > 0, xbar / np.where(s > 0, s, 1.0), np.inf)
 
 
-def _khan_linear(sim, theta, n, c):
+def _khan_linear(sim, n, c):
     a, b = khan_coefficients(n, c)
     return a * sim["xbar"] + b * sim["s"]
-
-
-def _score(sim, theta, n, c):
-    """Score of the first observation of N(theta, (c theta)^2), from its pivot
-    u = (x1 - theta) / theta, so that no power of theta is formed."""
-    u = (sim["x1"] - theta) / theta
-    return (-1.0 + u / (c * c) + u * u / (c * c)) / theta
 
 
 _NILE, _CV, _UNIFORM = {"nile"}, {"normal_cv"}, {"uniform_location"}
@@ -182,34 +175,33 @@ _SCALAR = {"normal_cv", "uniform_location", "normal_unit"}
 _XY, _MS, _LH = ("xbar", "ybar"), ("xbar", "s"), ("lo", "hi")
 
 STATISTICS = {
-    "nile_product": Statistic(lambda sim, t, n, c: sim["xbar"] * sim["ybar"], _XY, _NILE,
+    "nile_product": Statistic(lambda sim, n, c: sim["xbar"] * sim["ybar"], _XY, _NILE,
                               target={"nile": lambda c: 1.0}),  # E xbar E ybar = 1
     "normal_cv_ratio": Statistic(_normal_cv_ratio, _MS, _CV),
-    "uniform_range": Statistic(lambda sim, t, n, c: sim["hi"] - sim["lo"], _LH, _UNIFORM),
-    "sample_mean": Statistic(lambda sim, t, n, c: sim["xbar"], ("xbar",), _SCALAR | _NILE),
-    "sample_sd": Statistic(lambda sim, t, n, c: sim["s"], ("s",), _CV),
-    "nile_mle": Statistic(lambda sim, t, n, c: np.sqrt(sim["ybar"] / sim["xbar"]), _XY, _NILE),
+    "uniform_range": Statistic(lambda sim, n, c: sim["hi"] - sim["lo"], _LH, _UNIFORM),
+    "sample_mean": Statistic(lambda sim, n, c: sim["xbar"], ("xbar",), _SCALAR | _NILE),
+    "sample_sd": Statistic(lambda sim, n, c: sim["s"], ("s",), _CV),
+    "nile_mle": Statistic(lambda sim, n, c: np.sqrt(sim["ybar"] / sim["xbar"]), _XY, _NILE),
     "nile_star": Statistic(  # E(g^2 | W = w) = theta^2 E_1(ybar^2 | w) / E_1(ybar | w)^2
-        lambda sim, t, n, c: sim["ybar"] * h_star_vector(sim["xbar"] * sim["ybar"], n),
+        lambda sim, n, c: sim["ybar"] * h_star_vector(sim["xbar"] * sim["ybar"], n),
         _XY, _NILE, cond_m2=lambda w, t, n: t ** 2 * cond_second_moment_ratio(w, n)),
-    "nile_inverse_xbar": Statistic(lambda sim, t, n, c: 1.0 / sim["xbar"], ("xbar",), _NILE),
+    "nile_inverse_xbar": Statistic(lambda sim, n, c: 1.0 / sim["xbar"], ("xbar",), _NILE),
     "khan_linear": Statistic(_khan_linear, _MS, _CV),
     "normalcv_mle": Statistic(
-        lambda sim, t, n, c: normalcv_mle_from_sums(sim["sum_x"], sim["sum_x2"], n, c),
+        lambda sim, n, c: normalcv_mle_from_sums(sim["sum_x"], sim["sum_x2"], n, c),
         ("sum_x", "sum_x2"), _CV),
-    "pitman_midrange": Statistic(lambda sim, t, n, c: 0.5 * (sim["lo"] + sim["hi"]), _LH,
-                                 _UNIFORM),
+    "pitman_midrange": Statistic(lambda sim, n, c: 0.5 * (sim["lo"] + sim["hi"]), _LH, _UNIFORM),
     "first_order_h": Statistic(
-        lambda sim, t, n, c: ((np.abs(sim["x"]) <= 1.0).astype(float)
-                              + (np.abs(sim["y"]) <= 1.0).astype(float)),
+        lambda sim, n, c: ((np.abs(sim["x"]) <= 1.0).astype(float)
+                           + (np.abs(sim["y"]) <= 1.0).astype(float)),
         ("x", "y"), _CORR,
         target={"bivariate_gaussian_corr": lambda c: 2.0 * (2.0 * float(ndtr(1.0)) - 1.0)}),
-    "positive_indicator": Statistic(lambda sim, t, n, c: (sim["xbar"] > 0).astype(float),
+    "positive_indicator": Statistic(lambda sim, n, c: (sim["xbar"] > 0).astype(float),
                                     ("xbar",), _SCALAR | _NILE,
                                     target={"normal_cv": lambda c: float(ndtr(1.0 / c))}),
-    "xy_product": Statistic(lambda sim, t, n, c: sim["x"] * sim["y"], ("x", "y"), _CORR),
-    "diff12": Statistic(lambda sim, t, n, c: sim["diff12"], ("diff12",), _SCALAR),
-    "score": Statistic(_score, ("x1",), _CV),
+    "xy_product": Statistic(lambda sim, n, c: sim["x"] * sim["y"], ("x", "y"), _CORR),
+    "diff12": Statistic(lambda sim, n, c: sim["diff12"], ("diff12",), _SCALAR),
+    "x1": Statistic(lambda sim, n, c: sim["x1"], ("x1",), _SCALAR),
 }
 
 
@@ -368,7 +360,7 @@ def run_grid(token: str, grid, n: int, c: float, config: MCConfig, names, *,
                 sim = reduce(family, draws, n, reads | {"degenerate"})
             bad = sim.get("degenerate")
             dropped = 0 if bad is None else int(bad.sum())
-            vals = {name: stat.compute(sim, grid[gi], n, c) for name, stat in stats.items()}
+            vals = {name: stat.compute(sim, n, c) for name, stat in stats.items()}
             if dropped:
                 vals = {name: v[~bad] for name, v in vals.items()}
             for name, v in vals.items():  # e.g. an overflow at an extreme theta
@@ -431,7 +423,7 @@ def _mean_se(moments: np.ndarray) -> tuple[float, float]:
 def _var_se(moments: np.ndarray) -> tuple[float, float]:
     """Sample variance and its standard error sqrt((m4 - var^2) / N) from ``_moments``."""
     count, _, m2, _, m4 = moments
-    var = float(m2 / (count - 1))  # of one array, arr.var(ddof=1) bit for bit
+    var = float(m2 / (count - 1)) if count > 1 else math.nan  # arr.var(ddof=1) bit for bit
     m4 = float(m4 / count)
     return var, math.sqrt(max(m4 - var * var, 0.0) / count)
 
@@ -919,33 +911,41 @@ def cond_moment_dependence(g_stat: str, token: str, config: MCConfig,
                    {"no-dependence": "fail" if depends else "pass"}, degenerate)
 
 
+def _score(x1, theta, c):
+    """Score of one observation ``x1`` of N(theta, (c theta)^2), from its pivot
+    u = (x1 - theta) / theta, so that no power of theta is formed."""
+    u = (x1 - theta) / theta
+    return (-1.0 + u / (c * c) + u * u / (c * c)) / theta
+
+
 def fisher_info(config: MCConfig, c: float) -> VerificationReport:
     """MC variance of the per-observation score vs the closed form (2 + 1/c^2)/theta^2,
     at ``config``'s one grid point theta.
 
-    Also reports the location-only information 1/(c^2 theta^2) and the
-    ratio (2 c^2 + 1) between the two; VerificationError where either
-    information is not a normal float, or where every draw rounds to one
-    float, so the score never varies.  Streams: keeps the moments of the
-    score, not its replicates: those of theta times the score, whose fourth
-    central moment stays in the float range at a large theta.
+    Also reports the location-only information 1/(c^2 theta^2) and the ratio
+    (2 c^2 + 1) between the two.  Raises VerificationError before drawing where
+    theta^2 or either information is not a normal float, or where c*theta is
+    under 1e4 float spacings at theta, which rounds the draws to a few floats.
+    Streams: keeps the moments of theta times the score of each replicate's one
+    observation ``x1``, whose fourth central moment stays in the float range.
     """
     (theta,) = config.theta_grid  # ValueError unless the run has one grid point
     if not np.finfo(float).tiny <= theta * theta < math.inf:  # the variance's divisor
         raise VerificationError(f"score_variance at theta={theta:g}: theta^2 is not a normal float")
-    drawn, _ = run_grid("normal_cv", config.theta_grid, config.n, c, config, ["score"],
-                        moments_of=lambda sim: {"score": theta * sim["score"]})
-    var, se = (v / (theta * theta) for v in _var_se(drawn[0]["score"]))
-    closed = (2.0 + 1.0 / (c * c)) / (theta * theta)
-    location_only = 1.0 / (c * c * theta * theta)
+    FAMILIES["normal_cv"].check(theta, c)
+    if c * theta < 1e4 * np.spacing(theta):  # rounding adds ~spacing^2/12 to (c theta)^2
+        raise VerificationError(f"c*theta = {c * theta:g} at theta={theta:g} is under 1e4 float "
+                                f"spacings at theta ({np.spacing(theta):g}); the draws would "
+                                f"round to a few floats")
+    closed = (2.0 + 1.0 / (c * c)) / (theta * theta)  # c > 1e-12 here, so c^2 > 0
+    location_only = 1.0 / max(c * c * theta * theta, math.ulp(0.0))  # inf where that underflows
     for quantity, value in (("closed_form", closed), ("location_only", location_only)):
         if not np.finfo(float).tiny <= value < math.inf:
             raise VerificationError(f"{quantity} at theta={theta:g}, c={c:g} is {value:g}, "
                                     f"not a normal float")
-    if var == 0.0:  # not its SE, which two different scores also give at 2 replicates
-        raise VerificationError(f"score at theta={theta:g}, c={c:g} has sample variance 0: "
-                                f"every draw rounded to one float (c*theta = {c * theta:g}, "
-                                f"float spacing at theta {np.spacing(theta):g})")
+    drawn, _ = run_grid("normal_cv", config.theta_grid, config.n, c, config, ["x1"],
+                        moments_of=lambda sim: {"score": theta * _score(sim["x1"], theta, c)})
+    var, se = (v / (theta * theta) for v in _var_se(drawn[0]["score"]))
     z = _z(var - closed, se, "score_variance", theta)
     point = GridPointResult(param=theta, estimates={"score_variance": var},
                             se={"score_variance": se}, statistics={"z": z})

@@ -251,6 +251,10 @@ BAD_CONFIGS = [
     ("kind = rao\npower = 7\n", "field 'power': must be in [1, 6], got 7"),
     ("kind = ancillarity\ngrid = 1\n", "field 'grid': ancillarity needs at least 2 grid points"),
     ("kind = ancillarity\nstatistic = bogus\n", "field 'statistic': unknown statistic 'bogus'"),
+    # the score is a function of theta, not a statistic: fisher-info forms it from x1
+    ("kind = first-order\nfamily = normal_cv\nstatistic = score\n", "unknown statistic 'score'"),
+    ("kind = variance-table\nfamily = normal_cv\nestimators = score\n",
+     "unknown statistic 'score'"),
     ("kind = rao\ntheta = 2\n", "field 'theta'"),
     # xbar / s < 0 whenever xbar < 0: the log is never taken (a warning fails the run)
     ("kind = rao\nfamily = normal_cv\nestimator = khan_linear\ngrid = 0.5,2\npower = 2\n",
@@ -414,6 +418,9 @@ OVERFLOW_CONFIGS = [
      "error: score_variance at theta=1e-200: theta^2 is not a normal float"),
     ("kind = fisher-info\ntheta = 1e100\nc = 1e60\nreplicates = 2000\n",
      "error: location_only at theta=1e+100, c=1e+60 is 0, not a normal float"),
+    # c^2 theta^2 underflows to 0: an information of inf, not a ZeroDivisionError
+    ("kind = fisher-info\ntheta = 1.5e-154\nc = 1e-10\nreplicates = 2000\n",
+     "error: closed_form at theta=1.5e-154, c=1e-10 is inf, not a normal float"),
     # g^2 underflows in a bin where g varies, so the bin's variance and SE read 0 or
     # subnormal; nile_mle's y/x underflows to the constant 0, which no bin can compare
     ("kind = cond-moment\ntheta = 1e-200\nreplicates = 20000\n",
@@ -430,13 +437,23 @@ OVERFLOW_CONFIGS = [
     ("kind = first-order\nfamily = normal_unit\nstatistic = sample_mean\ngrid = 1e200,2e200\n"
      "replicates = 2000\n",
      "error: standard error of sample_mean at theta=1e+200 is inf; its moments overflowed "),
-    # c theta is below the float spacing at theta, so every draw equals theta
+    # c theta is under 1e4 float spacings at theta, so the draws would be rounded
+    # to one float or a few: refused before drawing
     ("kind = fisher-info\ntheta = 1\nc = 1e-17\nreplicates = 2000\n",
-     "error: score at theta=1, c=1e-17 has sample variance 0: every draw rounded to one float "
-     "(c*theta = 1e-17, float spacing at theta 2.22045e-16)"),
+     "error: c*theta = 1e-17 at theta=1 is under 1e4 float spacings at theta (2.22045e-16); "
+     "the draws would round to a few floats"),
     ("kind = fisher-info\ntheta = 1e100\nc = 1e-60\nreplicates = 2000\n",
-     "error: score at theta=1e+100, c=1e-60 has sample variance 0: every draw rounded to one "
-     "float (c*theta = 1e+40, float spacing at theta 1.94267e+84)"),
+     "error: c*theta = 1e+40 at theta=1e+100 is under 1e4 float spacings at theta "
+     "(1.94267e+84); the draws would round to a few floats"),
+    ("kind = fisher-info\ntheta = 1\nc = 1e-16\nreplicates = 2000\n",
+     "error: c*theta = 1e-16 at theta=1 is under 1e4 float spacings at theta (2.22045e-16); "),
+    ("kind = fisher-info\ntheta = 1\nc = 2e-16\nreplicates = 2000\n",
+     "error: c*theta = 2e-16 at theta=1 is under 1e4 float spacings at theta (2.22045e-16); "),
+    # one replicate has no sample variance
+    ("kind = fisher-info\nreplicates = 1\n",
+     "error: standard error of score_variance at theta=1 is nan; its moments overflowed or "
+     "fewer than two replicates were kept"),
+    ("kind = variance-table\nreplicates = 1\n", "error: nile_mle at theta=1 has mean "),
     # every replicate degenerate: no value to take quantile edges from
     ("kind = independence\nc = 1e-17\nn = 2\nreplicates = 2000\n",
      "error: every replicate at theta=1 is degenerate; there is no sample to test"),

@@ -153,7 +153,7 @@ def test_dropped_replicates_keep_chunk_order(workers):
             keep = ~sim["degenerate"]
             dropped[gi] += size - int(keep.sum())
             for name in _DROP_NAMES:
-                kept[name].append(STATISTICS[name].compute(sim, theta, n, c)[keep])
+                kept[name].append(STATISTICS[name].compute(sim, n, c)[keep])
         for name in _DROP_NAMES:
             assert np.array_equal(point[name], np.concatenate(kept[name]))
     assert dropped[0] == 286 and dropped[1] > 0

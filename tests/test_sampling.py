@@ -98,6 +98,6 @@ def test_partly_degenerate_point_drops_exactly_the_masked_replicates():
     keep = ~np.concatenate([sim["degenerate"] for sim in sims])
     assert 0 < degenerate == replicates - keep.sum() < replicates / 2
     for name in names:
-        expected = np.concatenate([STATISTICS[name].compute(sim, theta, n, c)
+        expected = np.concatenate([STATISTICS[name].compute(sim, n, c)
                                    for sim in sims])[keep]
         assert np.array_equal(out[0][name], expected)

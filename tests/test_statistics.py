@@ -90,7 +90,7 @@ class TestEvaluate:
         (Kind.BIVARIATE_GAUSSIAN_CORR, (4.0, 0.0), "uniform_range"),
         # defined on the family, but of names the summary does not hold
         (Kind.UNIFORM_LOCATION, (0.0, 1.0), "sample_mean"),
-        (Kind.NORMAL_CV, (1.0, 2.0), "score")])
+        (Kind.NORMAL_CV, (1.0, 2.0), "x1")])
     def test_rejects_row_it_cannot_evaluate(self, kind, components, name):
         message = (f"{name} is not defined on a {kind.value} summary"
                    if kind.value in STATISTICS[name].families

@@ -851,8 +851,7 @@ def test_run_grid_checks_statistics_and_domain_before_sampling():
     (bivariate_gaussian(0.4), 0.4, 1, "xy_product", lambda p: p[0, 0] * p[0, 1]),
     (uniform_location(-0.7), -0.7, 5, "sample_mean", lambda p: p.mean()),
     (normal_cv(2.0, c=0.5), 2.0, 5, "diff12", lambda p: p[0] - p[1]),
-    (normal_cv(2.0, c=0.5), 2.0, 1, "score",
-     lambda p: -0.5 + (p[0] - 2.0) / 1.0 + (p[0] - 2.0) ** 2 / 2.0),
+    (normal_cv(2.0, c=0.5), 2.0, 1, "x1", lambda p: p[0]),
 ])
 def test_engine_replicate_equals_scalar_sample(model, param, n, stat, of_sample):
     # one replicate consumes the first spawned substream of the master seed
@@ -865,3 +864,11 @@ def test_engine_replicate_equals_scalar_sample(model, param, n, stat, of_sample)
     out, _ = run_grid(model.kind.value, (param,), n, model.c,
                       _cfg(seed=4, grid=(param,), n=n, replicates=1), [stat])
     assert out[0][stat][0] == expected
+
+
+def test_score_of_one_replicate_is_the_closed_form():
+    # fisher-info's score of the first observation of N(2, 1), drawn as x1
+    out, _ = run_grid("normal_cv", (2.0,), 1, 0.5, _cfg(seed=4, grid=(2.0,), n=1, replicates=1),
+                      ["x1"])
+    (x1,) = out[0]["x1"]
+    assert verify._score(x1, 2.0, 0.5) == -0.5 + (x1 - 2.0) / 1.0 + (x1 - 2.0) ** 2 / 2.0
