@@ -11,9 +11,10 @@ Replicates are partitioned into a fixed number of chunks (independent of
 the worker count); chunk ``i`` of grid point ``g`` always consumes the
 same spawned substream.  The first chunk of every grid point is drawn
 before the other chunks, so that a verifier can look at them once and stop
-a decided verdict (ancillarity, by a distribution-free bound); each
-point's chunks are put together in chunk order, not in the order the
-workers finish them: the kept arrays, each chunk's values in its own
+a decided verdict (ancillarity, by a distribution-free bound; rao and
+first-order, by a Bonferroni bound on their z, at the same level
+DKW_DELTA); each point's chunks are put together in chunk order, not in the
+order the workers finish them: the kept arrays, each chunk's values in its own
 slice with the gaps of dropped replicates closed, or, for the moment-only
 verifiers (first-order, rao with its centring run, and fisher-info),
 each chunk's count, mean and central sums M2, M3, M4, merged, or, for
@@ -31,7 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-from scipy.special import chdtrc, ndtr  # chi-square survival function, normal CDF
+from scipy.special import chdtrc, ndtr, ndtri  # chi-square survival, normal CDF and its inverse
 
 from . import __version__ as VERSION
 from .estimators import h_star_vector, khan_coefficients, normalcv_mle_from_sums
@@ -50,8 +51,11 @@ KS_CRITICAL = 1.95
 #: Level of each grid point's chi-square independence test.
 INDEPENDENCE_ALPHA = 1e-3
 
-#: Chance that ``verify_ancillarity``'s first-chunk look fails an invariant
-#: statistic, for any law (``dkw_bound``).
+#: Level of every first-chunk look: the chance that it fails a true claim.
+#: ``verify_ancillarity``'s look keeps it for an invariant statistic of any law
+#: (``dkw_bound``); ``rao_zero_cov``'s and ``verify_first_order``'s, by
+#: Bonferroni over the grid points, under the normal approximation of each z
+#: (``look_z``).
 DKW_DELTA = 1e-6
 
 
@@ -586,6 +590,41 @@ def _ks_pairs(samples, grid, bound) -> tuple[dict, list]:
             [(d, bound(i, j)) for (i, j), d in ds.items()])
 
 
+def look_z(points: int) -> float:
+    """-ndtri(DKW_DELTA / (2 points)), which a standard normal z exceeds in
+    absolute value with probability DKW_DELTA / points: a look that fails a
+    claim when some point's |z| exceeds it fails a true claim with probability
+    at most DKW_DELTA, under the normal approximation of each z.  5.10 at 3 points."""
+    return -float(ndtri(DKW_DELTA / (2 * points)))
+
+
+def _z_look(judge, points: int, decided: list):
+    """``run_grid``'s look for a z-based verdict.  ``judge(drawn)`` is the code
+    that makes the verifier's report points and statistics, ``max_abs_z``
+    among them, from the moments ``run_grid`` returns.  On the first chunks,
+    the look fails the claim when ``max_abs_z`` exceeds ``look_z(points)``, and
+    appends the judgement to ``decided``, with each point's ``replicates``,
+    ``look_z`` and ``look_level``.  First chunks that ``judge`` makes no report
+    of (an SE of 0 or not finite, rao's self-check, or a squared SE out of the
+    float range) are not judged: the run draws every chunk.
+    """
+    threshold = look_z(points)
+
+    def look(first):
+        try:
+            report_points, statistics = judge(first)
+        except (VerificationError, ArithmeticError):
+            return False
+        if statistics["max_abs_z"] > threshold:
+            for point, moments in zip(report_points, first):
+                # every quantity's moments count the point's kept replicates
+                point.statistics["replicates"] = int(next(iter(moments.values()))[0])
+            decided.append((report_points, {**statistics, "look_z": threshold,
+                                            "look_level": DKW_DELTA}))
+        return bool(decided)
+    return look
+
+
 def verify_first_order(token: str, statistic: str, config: MCConfig,
                        c: float = 1.0) -> VerificationReport:
     """Pass iff the statistic's mean is constant (within 3 SE) across the grid.
@@ -593,32 +632,40 @@ def verify_first_order(token: str, statistic: str, config: MCConfig,
     When the statistic has a known parameter-free mean on the family (its
     row's ``target``), the comparison is against that constant; otherwise
     against the pooled grand mean.  A grid point where the statistic is
-    constant (SE 0) raises VerificationError.
+    constant (SE 0) raises VerificationError.  ``_z_look`` fails the claim
+    on the first chunks alone when their max |z| exceeds ``look_z``.
     Streams: keeps the moments of each grid point, not its replicates.
     """
-    drawn, degenerate = run_grid(token, config.theta_grid, config.n, c,
-                                 config, [statistic], moments_of=lambda sim: sim)
-    means, ses = zip(*(_mean_se(p[statistic]) for p in drawn))
-    for t, se in zip(config.theta_grid, ses):
-        _z(0.0, se, statistic, t)
     target_fn = (resolve_statistic(statistic, token, config.n).target or {}).get(token)
-    if target_fn is not None:
-        target = target_fn(c)
-        target_se = 0.0
-    else:
-        wts = [1.0 / se ** 2 for se in ses]
-        target = sum(w * m for w, m in zip(wts, means)) / sum(wts)
-        target_se = math.sqrt(1.0 / sum(wts))
-    zmax = 0.0
-    points = []
-    for t, m, se in zip(config.theta_grid, means, ses):
-        z = (m - target) / math.sqrt(se ** 2 + target_se ** 2)
-        zmax = max(zmax, abs(z))
-        points.append(GridPointResult(param=t, estimates={statistic: m},
-                                      se={statistic: se}, statistics={"z": z}))
-    verdicts = {"mean-constant": "pass" if zmax < 3.0 else "fail"}
+
+    def judge(drawn):
+        means, ses = zip(*(_mean_se(p[statistic]) for p in drawn))
+        for t, se in zip(config.theta_grid, ses):
+            _z(0.0, se, statistic, t)
+        if target_fn is not None:
+            target = target_fn(c)
+            target_se = 0.0
+        else:
+            wts = [1.0 / se ** 2 for se in ses]
+            target = sum(w * m for w, m in zip(wts, means)) / sum(wts)
+            target_se = math.sqrt(1.0 / sum(wts))
+        zmax = 0.0
+        points = []
+        for t, m, se in zip(config.theta_grid, means, ses):
+            z = (m - target) / math.sqrt(se ** 2 + target_se ** 2)
+            zmax = max(zmax, abs(z))
+            points.append(GridPointResult(param=t, estimates={statistic: m},
+                                          se={statistic: se}, statistics={"z": z}))
+        return points, {"target_mean": target, "max_abs_z": zmax}
+
+    decided = []
+    drawn, degenerate = run_grid(token, config.theta_grid, config.n, c, config, [statistic],
+                                 moments_of=lambda sim: sim,
+                                 look=_z_look(judge, len(config.theta_grid), decided))
+    points, statistics = decided[0] if decided else judge(drawn)
+    verdicts = {"mean-constant": "pass" if statistics["max_abs_z"] < 3.0 else "fail"}
     return _report(f"first-order ancillarity of {statistic} for {token}", config, points,
-                   {"target_mean": target, "max_abs_z": zmax}, verdicts, degenerate)
+                   statistics, verdicts, degenerate)
 
 
 def _quantile_edges(arr: np.ndarray, k: int) -> np.ndarray:
@@ -798,7 +845,8 @@ def rao_zero_cov(g_stat: str, u: ZeroMeanSpec, token: str, config: MCConfig,
     when some |z| > 4, otherwise inconclusive.  An estimated centre
     (``center_se > 0``) is self-checked first, |mean U| < 4 SE at every grid
     point or VerificationError; on an exact centre the check could only
-    turn sampling noise into an error.
+    turn sampling noise into an error.  ``_z_look`` fails the claim on the
+    first chunks alone when their max |z| exceeds ``look_z``.
     Streams: keeps the moments of U, g^k U and g^k, not the replicates.
     """
     if not 1 <= power <= 6:
@@ -809,25 +857,32 @@ def rao_zero_cov(g_stat: str, u: ZeroMeanSpec, token: str, config: MCConfig,
         g = sim[g_stat] ** power
         return {"U": uvals, "gU": g * uvals, "g": g}
 
-    drawn, degenerate = run_grid(token, config.theta_grid, config.n, c,
-                                 config, [g_stat, u.source], moments_of=quantities)
-    points = []
-    zmax = 0.0
-    for t, moments in zip(config.theta_grid, drawn):
-        m_u, se_u = _mean_se(moments["U"])
-        se_u_total = math.sqrt(se_u ** 2 + u.center_se ** 2)
-        if u.center_se > 0 and abs(m_u) > 4.0 * se_u_total:
-            raise VerificationError(
-                f"zero-mean self-check failed for {u.id} at theta={t}: "
-                f"mean {m_u:.4g} vs SE {se_u_total:.4g}")
-        est, se_prod = _mean_se(moments["gU"])
-        # uncertainty of the frozen centering constant enters through E[g^k]
-        se = math.sqrt(se_prod ** 2 + (float(moments["g"][1]) * u.center_se) ** 2)
-        z = _z(est, se, "E[g^k U]", t)
-        zmax = max(zmax, abs(z))
-        points.append(GridPointResult(
-            param=t, estimates={"E[g^k U]": est}, se={"E[g^k U]": se},
-            statistics={"z": z, "mean_U": m_u}))
+    def judge(drawn):
+        points = []
+        zmax = 0.0
+        for t, moments in zip(config.theta_grid, drawn):
+            m_u, se_u = _mean_se(moments["U"])
+            se_u_total = math.sqrt(se_u ** 2 + u.center_se ** 2)
+            if u.center_se > 0 and abs(m_u) > 4.0 * se_u_total:
+                raise VerificationError(
+                    f"zero-mean self-check failed for {u.id} at theta={t}: "
+                    f"mean {m_u:.4g} vs SE {se_u_total:.4g}")
+            est, se_prod = _mean_se(moments["gU"])
+            # uncertainty of the frozen centering constant enters through E[g^k]
+            se = math.sqrt(se_prod ** 2 + (float(moments["g"][1]) * u.center_se) ** 2)
+            z = _z(est, se, "E[g^k U]", t)
+            zmax = max(zmax, abs(z))
+            points.append(GridPointResult(
+                param=t, estimates={"E[g^k U]": est}, se={"E[g^k U]": se},
+                statistics={"z": z, "mean_U": m_u}))
+        return points, {"max_abs_z": zmax, "power": power}
+
+    decided = []
+    drawn, degenerate = run_grid(token, config.theta_grid, config.n, c, config,
+                                 [g_stat, u.source], moments_of=quantities,
+                                 look=_z_look(judge, len(config.theta_grid), decided))
+    points, statistics = decided[0] if decided else judge(drawn)
+    zmax = statistics["max_abs_z"]
     if zmax < 3.0:
         verdict = "pass"       # consistent with the UMVUE necessary condition
     elif zmax > 4.0:
@@ -835,7 +890,7 @@ def rao_zero_cov(g_stat: str, u: ZeroMeanSpec, token: str, config: MCConfig,
     else:
         verdict = "inconclusive"
     return _report(f"zero covariance of {g_stat}^{power} with {u.id} for {token}", config, points,
-                   {"max_abs_z": zmax, "power": power}, {"zero-covariance": verdict}, degenerate)
+                   statistics, {"zero-covariance": verdict}, degenerate)
 
 
 def cond_moment_dependence(g_stat: str, token: str, config: MCConfig,

@@ -256,8 +256,9 @@ def test_ancillarity_mean_and_ks_make_no_whole_sample_temporary(monkeypatch):
 #: One config per streamed path: first-order, rao with a calibrated log
 #: transform, with the exact normal_unit contrast and with the median
 #: indicator, and fisher-info; independence's per-chunk tables, also on
-#: samples with dropped replicates; and two array-path kinds on samples with
-#: dropped replicates.
+#: samples with dropped replicates; two array-path kinds on samples with
+#: dropped replicates; and one run of each kind with a first-chunk look that
+#: the look decides.
 WORKER_COUNT_CONFIGS = {
     "first-order": "kind = first-order\nreplicates = 4000\n",
     "rao-log": "kind = rao\nfamily = nile\nestimator = nile_mle\ntransform = log\n"
@@ -277,6 +278,10 @@ WORKER_COUNT_CONFIGS = {
                          "c = 1e-15\nn = 2\nreplicates = 4000\n",
     # decided by the first-chunk look: only the first chunk of each point is drawn
     "ancillarity-decided": "kind = ancillarity\nstatistic = sample_mean\nreplicates = 4000\n",
+    "first-order-decided": "kind = first-order\nfamily = normal_unit\nstatistic = sample_mean\n"
+                           "replicates = 20000\n",
+    "rao-decided": "kind = rao\nfamily = nile\nestimator = nile_mle\ntransform = log\nn = 1\n"
+                   "replicates = 1000000\n",
 }
 
 
@@ -305,8 +310,8 @@ def test_streamed_reports_do_not_depend_on_the_worker_count(kind, tmp_path, caps
         assert text.count(echo) == 1
         reports[workers] = text.replace(echo, '"workers": _')
         assert kind.endswith("-drops") == ('"degenerate_count": 0,' not in text)
-        if kind.endswith("-decided"):
-            assert '"dkw_delta"' in text
+        if kind.endswith("-decided"):  # the level of the look that decided it
+            assert ('"dkw_delta"' if kind.startswith("ancillarity") else '"look_level"') in text
         if kind.startswith("independence"):  # its one grid point's table counts every kept replicate
             (table,) = tables[-1]
             assert table.sum() == 4000 - json.loads(text)["degenerate_count"]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -143,8 +144,8 @@ class _Looked(Exception):
     """Carries the look's answer out of ``run_grid`` before any other chunk is drawn."""
 
 
-def _look_fires(monkeypatch, token, statistic, cfg) -> bool:
-    """Whether ``verify_ancillarity``'s look on ``cfg``'s first chunks fails the claim."""
+def _look_fires(monkeypatch, verifier, *args) -> bool:
+    """Whether ``verifier(*args)``'s look on its first chunks fails the claim."""
     def stop_after_look(*args, look, **kwargs):
         def answer(first):
             raise _Looked(look(first))
@@ -152,7 +153,7 @@ def _look_fires(monkeypatch, token, statistic, cfg) -> bool:
 
     monkeypatch.setattr(verify, "run_grid", stop_after_look)
     with pytest.raises(_Looked) as looked:
-        verify_ancillarity(token, statistic, cfg)
+        verifier(*args)
     return looked.value.args[0]
 
 
@@ -169,7 +170,7 @@ class TestFirstChunkLook:
         # 200 replicates a first chunk: the pair bound is about 0.4, where a bound of
         # sqrt(1 / (2 m)) a point, 0.1 a pair, is exceeded by about a quarter of the pairs
         fired = [seed for seed in range(100)
-                 if _look_fires(monkeypatch, token, statistic,
+                 if _look_fires(monkeypatch, verify_ancillarity, token, statistic,
                                 _cfg(seed=seed, replicates=200 * N_CHUNKS, grid=grid, n=n))]
         assert fired == []
 
@@ -232,6 +233,121 @@ class TestFirstChunkLook:
                      _cfg(replicates=1000, grid=(1.0, 2.0), n=3), ["sample_mean"],
                      look=looks.append)
         assert looks == []
+
+
+#: True claims with a z verdict, as (verifier, token, statistic, grid, n): rao's
+#: E(g U) vanishes for nile_star, whose E(g | W) is theta, against the log of
+#: the ancillary, and for sample_mean against normal_unit's exact contrast; each
+#: first-order statistic has its row's mean at every theta.
+Z_NULLS = [(rao_zero_cov, "nile", "nile_star", (0.5, 1.0, 2.0), 5),
+           (rao_zero_cov, "normal_unit", "sample_mean", (0.5, 1.0, 2.0), 5),
+           (verify_first_order, "nile", "nile_product", (0.5, 1.0, 2.0), 5),
+           (verify_first_order, "bivariate_gaussian_corr", "first_order_h", (-0.9, 0.0, 0.9), 1),
+           (verify_first_order, "normal_cv", "positive_indicator", (0.5, 1.0, 2.0), 1)]
+
+
+def _z_verdict(verifier, token, statistic, u, cfg):
+    """``verifier``'s report on ``cfg``; rao's against the zero-mean statistic ``u``."""
+    if verifier is rao_zero_cov:
+        return rao_zero_cov(statistic, u, token, cfg)
+    return verify_first_order(token, statistic, cfg)
+
+
+def _z_null_u(verifier, token, grid, n):
+    """rao's zero-mean statistic for ``token`` (one centring run), else None."""
+    return (zero_mean_from_ancillary("log", token, _cfg(grid=grid, n=n))
+            if verifier is rao_zero_cov else None)
+
+
+class TestZLook:
+    @pytest.mark.parametrize("verifier,token,statistic,grid,n", Z_NULLS)
+    def test_never_fires_on_a_true_claim(self, monkeypatch, verifier, token, statistic, grid, n):
+        # 200 replicates a first chunk against look_z(3) = 5.10; the largest
+        # first-chunk |z| over the 100 seeds is 4.1 for the 0/1 positive_indicator
+        # and 2.5-3.1 for the others
+        u = _z_null_u(verifier, token, grid, n)
+        fired = [seed for seed in range(100)
+                 if _look_fires(monkeypatch, _z_verdict, verifier, token, statistic, u,
+                                _cfg(seed=seed, replicates=200 * N_CHUNKS, grid=grid, n=n))]
+        assert fired == []
+
+    @pytest.mark.parametrize("verifier,token,statistic,grid,n", Z_NULLS)
+    def test_undecided_report_equals_a_run_whose_look_never_fires(self, monkeypatch, verifier,
+                                                                   token, statistic, grid, n):
+        u = _z_null_u(verifier, token, grid, n)
+        cfg = _cfg(seed=3, replicates=20_000, grid=grid, n=n)
+        looked = json.dumps(_z_verdict(verifier, token, statistic, u, cfg).to_json_dict())
+        monkeypatch.setattr(verify, "run_grid", lambda *args, look, **kwargs: run_grid(
+            *args, look=lambda first: False, **kwargs))
+        unlooked = json.dumps(_z_verdict(verifier, token, statistic, u, cfg).to_json_dict())
+        assert '"look_z"' not in looked and '"replicates": 20000' in looked
+        assert looked == unlooked
+
+    def test_rao_negative_control_stops_at_the_first_chunk(self):
+        grid = (0.5, 1.0, 2.0)
+        cfg = _cfg(replicates=1_000_000, grid=grid, n=1)
+        u = zero_mean_from_ancillary("log", "nile", cfg)
+        rep = rao_zero_cov("nile_mle", u, "nile", cfg)
+        first = run_grid("nile", grid, 1, 1.0, cfg, ["nile_mle", "ancillary"],
+                         look=lambda first: True)[0]
+        assert rep.verdicts == {"zero-covariance": "fail"}
+        assert rep.statistics["look_z"] == verify.look_z(3)
+        assert rep.statistics["look_level"] == verify.DKW_DELTA
+        assert rep.statistics["max_abs_z"] > rep.statistics["look_z"]
+        for point, sim in zip(rep.points, first):
+            assert point.statistics["replicates"] == sim["nile_mle"].size == 15_625
+            est, _ = _mean_se(_moments(sim["nile_mle"] * u.evaluate(sim)))
+            assert point.estimates["E[g^k U]"] == est
+            assert point.statistics["mean_U"] == _mean_se(_moments(u.evaluate(sim)))[0]
+
+    def test_first_order_negative_control_stops_at_the_first_chunk(self):
+        cfg = _cfg(grid=(0.5, 1.0, 2.0))  # E xbar = theta
+        rep = verify_first_order("normal_unit", "sample_mean", cfg)
+        first = run_grid("normal_unit", cfg.theta_grid, 5, 1.0, cfg, ["sample_mean"],
+                         look=lambda first: True)[0]
+        assert rep.verdicts == {"mean-constant": "fail"}
+        assert rep.statistics["look_z"] == verify.look_z(3)
+        assert rep.statistics["look_level"] == verify.DKW_DELTA
+        assert rep.statistics["max_abs_z"] > rep.statistics["look_z"]
+        for point, sim in zip(rep.points, first):
+            s = sim["sample_mean"]
+            assert point.statistics["replicates"] == s.size == -(-20_000 // N_CHUNKS)
+            assert (point.estimates["sample_mean"],
+                    point.se["sample_mean"]) == _mean_se(_moments(s))
+
+    @pytest.mark.parametrize("error", [VerificationError("standard error is 0"),
+                                       ZeroDivisionError(), OverflowError()])
+    def test_first_chunks_without_a_report_are_not_judged(self, error):
+        # an SE of 0 or not finite, or rao's self-check, raises VerificationError
+        # in the verifier's judge, and a squared SE can underflow or overflow
+        def judge(drawn):
+            raise error
+
+        decided = []
+        assert verify._z_look(judge, 3, decided)([{}, {}, {}]) is False
+        assert decided == []
+
+    def test_constant_first_chunks_leave_the_error_to_every_chunk(self, monkeypatch):
+        # P(x > 0) = Phi(100) at c = 0.01: the indicator is 1 on every replicate
+        drawn = []
+        real = verify.run_grid
+
+        def recording(*args, **kwargs):
+            drawn.append(real(*args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(verify, "run_grid", recording)
+        with pytest.raises(VerificationError, match="standard error of positive_indicator"):
+            verify_first_order("normal_cv", "positive_indicator",
+                               _cfg(replicates=6_400, grid=(0.5, 2.0), n=1), c=0.01)
+        # the look did not decide: the error comes from the moments of every chunk
+        assert [p["positive_indicator"][0] for p in drawn[0][0]] == [6_400, 6_400]
+
+    def test_level_matches_its_closed_form(self):
+        assert verify.look_z(3) == pytest.approx(5.1036, abs=1e-4)
+        for points in (1, 3, 4):
+            assert 2 * points * ndtr(-verify.look_z(points)) == pytest.approx(verify.DKW_DELTA,
+                                                                             rel=1e-9)
 
 
 def _scipy_ks(a, b):
@@ -625,10 +741,12 @@ class TestRaoZeroCov:
             rao_zero_cov("nile_mle", u, "nile", _cfg(grid=(1.0,), n=1))
 
     def test_exact_center_is_not_self_checked(self):
-        # a centre with SE 0 is taken as exact: a bad one shows in the verdict
+        # a centre with SE 0 is taken as exact: a bad one shows in the verdict; the
+        # look decides it from the first chunk, 15,625 replicates (SE of mean_U 0.014)
         u = ZeroMeanSpec(id="mis-centered", source="ancillary", transform=identity,
                          center=0.0, center_se=0.0)  # E W = 1, not 0
-        rep = rao_zero_cov("nile_mle", u, "nile", _cfg(grid=(1.0,), n=1))
+        rep = rao_zero_cov("nile_mle", u, "nile", _cfg(grid=(1.0,), n=1, replicates=1_000_000))
+        assert rep.points[0].statistics["replicates"] == 15_625
         assert rep.points[0].statistics["mean_U"] == pytest.approx(1.0, abs=0.05)
 
     def test_power_validated(self):
