@@ -176,7 +176,17 @@ def _check_normal_cv(theta, c):
 
 def _draw_bivariate_gaussian(rho, c, rng, size):
     z1 = rng.standard_normal(size)
-    return z1, rho * z1 + math.sqrt(1.0 - rho * rho) * rng.standard_normal(size)
+    y = rng.standard_normal(size)
+    y *= math.sqrt(1.0 - rho * rho)
+    y += rho * z1
+    return z1, y
+
+
+def _draw_normal_cv(theta, c, rng, size):
+    x = rng.standard_normal(size)
+    x *= c * theta
+    x += theta
+    return x
 
 
 def _density_normal(x, mean, sd):
@@ -200,8 +210,12 @@ _SCALAR = {"xbar": lambda x: x.mean(axis=1), "x1": lambda x: x[:, 0],
 
 def _direct_nile(theta, c, rng, size, n):
     # the mean of n Exp(rate t) observations is Gamma(n, scale 1 / (n t))
-    return {"xbar": rng.standard_gamma(n, size) / (n * theta),
-            "ybar": rng.standard_gamma(n, size) * theta / n}
+    xbar = rng.standard_gamma(n, size)
+    xbar /= n * theta
+    ybar = rng.standard_gamma(n, size)
+    ybar *= theta
+    ybar /= n
+    return {"xbar": xbar, "ybar": ybar}
 
 
 def _direct_normal_cv(theta, c, rng, size, n):
@@ -210,12 +224,23 @@ def _direct_normal_cv(theta, c, rng, size, n):
     A replicate is degenerate where s is below the spacing of the floats at
     xbar: there the n observations would round to one value."""
     sd = c * theta
-    xbar = theta + (sd / math.sqrt(n)) * rng.standard_normal(size)
-    out = {"xbar": xbar, "sum_x": n * xbar, "sum_x2": n * xbar * xbar}
+    xbar = rng.standard_normal(size)
+    xbar *= sd / math.sqrt(n)
+    xbar += theta
+    sum_x = xbar * n
+    sum_x2 = sum_x * xbar
+    out = {"xbar": xbar, "sum_x": sum_x, "sum_x2": sum_x2}
     if n >= 2:
-        s = sd * np.sqrt(rng.chisquare(n - 1, size) / (n - 1))
-        out.update(s=s, sum_x2=(n - 1) * s * s + out["sum_x2"],
-                   degenerate=s <= np.spacing(np.abs(xbar)))
+        s = rng.chisquare(n - 1, size)
+        s /= n - 1
+        np.sqrt(s, out=s)
+        s *= sd
+        within = s * (n - 1)
+        within *= s
+        sum_x2 += within
+        spacing = np.abs(xbar)
+        np.spacing(spacing, out=spacing)
+        out.update(s=s, degenerate=s <= spacing)
     return out
 
 
@@ -260,7 +285,7 @@ FAMILIES = {
         curve_grid=lambda k: np.linspace(-0.9, 0.9, k),
         first_order_grid=(-0.9, 0.0, 0.9), pairs=True, single_pair=True),
     "normal_cv": Family(
-        lambda theta, c, rng, size: theta + c * theta * rng.standard_normal(size),
+        _draw_normal_cv,
         {**_SCALAR, "sum_x": lambda x: x.sum(axis=1), "sum_x2": lambda x: np.sum(x * x, axis=1),
          "s": _sd, "degenerate": lambda x: _sd(x) == 0},
         _check_normal_cv, ("xbar", "s"), "normal_cv_ratio",

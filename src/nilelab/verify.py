@@ -168,6 +168,14 @@ def _normal_cv_ratio(sim, n, c):
         return np.where(s > 0, xbar / np.where(s > 0, s, 1.0), np.inf)
 
 
+def _first_order_h(sim, n, c):
+    """1{|x| <= 1} + 1{|y| <= 1}, the second indicator added into the first."""
+    h = np.abs(sim["x"])
+    np.less_equal(h, 1.0, out=h)
+    h += np.abs(sim["y"]) <= 1.0
+    return h
+
+
 def _khan_linear(sim, n, c):
     a, b = khan_coefficients(n, c)
     return a * sim["xbar"] + b * sim["s"]
@@ -196,9 +204,7 @@ STATISTICS = {
         ("sum_x", "sum_x2"), _CV),
     "pitman_midrange": Statistic(lambda sim, n, c: 0.5 * (sim["lo"] + sim["hi"]), _LH, _UNIFORM),
     "first_order_h": Statistic(
-        lambda sim, n, c: ((np.abs(sim["x"]) <= 1.0).astype(float)
-                           + (np.abs(sim["y"]) <= 1.0).astype(float)),
-        ("x", "y"), _CORR,
+        _first_order_h, ("x", "y"), _CORR,
         target={"bivariate_gaussian_corr": lambda c: 2.0 * (2.0 * float(ndtr(1.0)) - 1.0)}),
     "positive_indicator": Statistic(lambda sim, n, c: (sim["xbar"] > 0).astype(float),
                                     ("xbar",), _SCALAR | _NILE,
@@ -632,7 +638,8 @@ def verify_first_order(token: str, statistic: str, config: MCConfig,
     When the statistic has a known parameter-free mean on the family (its
     row's ``target``), the comparison is against that constant; otherwise
     against the pooled grand mean.  A grid point where the statistic is
-    constant (SE 0) raises VerificationError.  ``_z_look`` fails the claim
+    constant (SE 0), or a z that is not finite, raises VerificationError,
+    so a NaN never passes.  ``_z_look`` fails the claim
     on the first chunks alone when their max |z| exceeds ``look_z``.
     Streams: keeps the moments of each grid point, not its replicates.
     """
@@ -645,14 +652,18 @@ def verify_first_order(token: str, statistic: str, config: MCConfig,
         if target_fn is not None:
             target = target_fn(c)
             target_se = 0.0
-        else:
-            wts = [1.0 / se ** 2 for se in ses]
+        else:  # inverse-variance weights relative to the least variance, all in (0, 1]
+            se_min = min(ses)
+            wts = [(se_min / se) ** 2 for se in ses]
             target = sum(w * m for w, m in zip(wts, means)) / sum(wts)
-            target_se = math.sqrt(1.0 / sum(wts))
+            target_se = se_min / math.sqrt(sum(wts))
         zmax = 0.0
         points = []
         for t, m, se in zip(config.theta_grid, means, ses):
-            z = (m - target) / math.sqrt(se ** 2 + target_se ** 2)
+            z = (m - target) / math.hypot(se, target_se)
+            if not math.isfinite(z):
+                raise VerificationError(f"z of {statistic} at theta={t:g} is {z:g}; "
+                                        f"its mean {m:g} or the target {target:g} is not finite")
             zmax = max(zmax, abs(z))
             points.append(GridPointResult(param=t, estimates={statistic: m},
                                           se={statistic: se}, statistics={"z": z}))
@@ -973,6 +984,19 @@ def _score(x1, theta, c):
     return (-1.0 + u / (c * c) + u * u / (c * c)) / theta
 
 
+#: Elements of the score that ``_scaled_score`` forms at once (64 KiB of float64).
+_SCORE_BLOCK = 8192
+
+
+def _scaled_score(x1, theta, c):
+    """theta times ``_score`` of each ``x1``, filled into one array a block of
+    ``_SCORE_BLOCK`` at a time, so that no temporary is longer than a block."""
+    out = np.empty(x1.shape)
+    for i in range(0, x1.size, _SCORE_BLOCK):
+        out[i:i + _SCORE_BLOCK] = theta * _score(x1[i:i + _SCORE_BLOCK], theta, c)
+    return out
+
+
 def fisher_info(config: MCConfig, c: float) -> VerificationReport:
     """MC variance of the per-observation score vs the closed form (2 + 1/c^2)/theta^2,
     at ``config``'s one grid point theta.
@@ -999,7 +1023,7 @@ def fisher_info(config: MCConfig, c: float) -> VerificationReport:
             raise VerificationError(f"{quantity} at theta={theta:g}, c={c:g} is {value:g}, "
                                     f"not a normal float")
     drawn, _ = run_grid("normal_cv", config.theta_grid, config.n, c, config, ["x1"],
-                        moments_of=lambda sim: {"score": theta * _score(sim["x1"], theta, c)})
+                        moments_of=lambda sim: {"score": _scaled_score(sim["x1"], theta, c)})
     var, se = (v / (theta * theta) for v in _var_se(drawn[0]["score"]))
     z = _z(var - closed, se, "score_variance", theta)
     point = GridPointResult(param=theta, estimates={"score_variance": var},

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -493,6 +494,21 @@ def test_extreme_config_exits_with_a_documented_code(tmp_path, capsys, text):
         assert len(err) == 1 and err[0].startswith("error: ")
     else:
         assert err == []
+
+
+@pytest.mark.parametrize("grid", ["1,2", "1e-158,2e-158"])
+def test_pooled_first_order_target_is_scale_free(tmp_path, capsys, grid):
+    # sample_mean has no known mean, so the target is the pooled mean; at 1e-158
+    # the squared SEs are subnormal, where weights of 1 / se^2 would be inf and
+    # the target and every z NaN
+    cfg = _write(tmp_path, f"kind = first-order\nfamily = normal_cv\nstatistic = sample_mean\n"
+                           f"grid = {grid}\nreplicates = 2000\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "exp.report.json").read_text())
+    assert math.isfinite(report["statistics"][0]["target_mean"])
+    assert report["statistics"][0]["max_abs_z"] > 3.0
 
 
 def test_cond_moment_on_a_tied_statistic_merges_its_bins(tmp_path, capsys):
